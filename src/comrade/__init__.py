@@ -10,10 +10,11 @@ dense solver (``comrade.oracle``) exists solely to cross-check the fast
 path.
 """
 
-from .factorization import (LUFactors, OpCounter, Substitution, ZeroPivotError,
-                            determinant, factorize, reconstruct_LU)
-from .inversion import (InverseResult, NonFiniteResultError, invert,
-                        last_two_columns, remaining_columns)
+from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
+                            Substitution, ZeroPivotError, determinant,
+                            factorize, reconstruct_LU)
+from .inversion import (InverseResult, invert, last_two_columns,
+                        remaining_columns)
 from .io import MatrixFormatError, dump_comrade, dump_dense, load_comrade, load_dense
 from .matrix import (ComradeMatrix, DenseMatrix, SingularMatrixError,
                      comrade_times_dense, dense_times_comrade, example33,

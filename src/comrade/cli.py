@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 unreadable or invalid matrix file, 3 singular
 matrix, 4 zero pivot (or zero divisor alpha) in a mode without symbolic
-rescue, 5 pole at t = 0, 6 non-finite float inverse entry (overflow or
-nan from a tiny pivot), 1 unexpected failure.
+rescue, 5 pole at t = 0, 6 non-finite float determinant or inverse entry
+(overflow or nan from a tiny pivot), 1 unexpected failure.
 
 When --mode is not given, commands run EXACT first and retry once in
 SYMBOLIC mode on a zero pivot/alpha, with a note on stderr; an explicit
@@ -18,8 +18,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .factorization import ZeroPivotError, determinant
-from .inversion import NonFiniteResultError, invert
+from .factorization import NonFiniteResultError, ZeroPivotError, determinant
+from .inversion import invert
 from .io import MatrixFormatError, dump_comrade, dump_dense, load_comrade
 from .matrix import (DenseMatrix, SingularMatrixError, comrade_times_dense,
                      example33, random_comrade, to_dense)

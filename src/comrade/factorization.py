@@ -18,6 +18,7 @@ singular matrix is still a perfectly good (zero) answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +35,15 @@ class ZeroPivotError(ArithmeticError):
         self.index = index
         self.what = what
         super().__init__(f"zero {what} at index {index}; retry in symbolic mode")
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A FLOAT result overflowed to inf or became nan, typically through
+    a tiny pivot in the unpivoted factorization."""
+
+    def __init__(self, what: str):
+        self.what = what
+        super().__init__(f"float {what} is not finite; retry in exact mode")
 
 
 class Substitution(NamedTuple):
@@ -116,21 +126,29 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
     return LUFactors(mode, tuple(mu), tuple(x), tuple(subs))
 
 
-def determinant(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None):
-    """Determinant as the pivot product, 7n - 10 field operations.
+def pivot_product(F: LUFactors, ops: OpCounter):
+    """The determinant mu_1 * ... * mu_n, n - 1 field operations.
 
     In SYMBOLIC mode the product reduces to a polynomial in t and is
     evaluated at t = 0, which is exactly the determinant of the
     unperturbed matrix; singular inputs therefore give exactly 0.
     """
+    ops.tally(len(F.mu) - 1)
+    return F.mode.finalize(math.prod(F.mu[1:], start=F.mu[0]))
+
+
+def determinant(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None):
+    """Determinant as the pivot product, 7n - 10 field operations.
+
+    Raises NonFiniteResultError in FLOAT mode when the product is inf
+    or nan.
+    """
     if ops is None:
         ops = OpCounter()
-    F = factorize(C, mode, ops)
-    det = F.mu[0]
-    for m in F.mu[1:]:
-        det = det * m
-    ops.tally(C.n - 1)
-    return F.mode.finalize(det)
+    det = pivot_product(factorize(C, mode, ops), ops)
+    if mode is ScalarMode.FLOAT and not math.isfinite(det):
+        raise NonFiniteResultError("determinant")
+    return det
 
 
 def bumped_beta(F: LUFactors, C: ComradeMatrix) -> tuple:

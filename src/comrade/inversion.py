@@ -19,6 +19,15 @@ at t = 0 then recovers the exact inverse; for a nonsingular input the
 reduced entries provably have no pole at t = 0 (their denominators
 divide det M(t), a polynomial that is det(C) != 0 at t = 0).
 
+EXACT mode runs the same recursion fraction-free (after Bareiss 1968).
+Scaling column k of C by c_k, the lcm of the denominators of its at most
+four entries, gives an integer matrix C' = C diag(c), and the recursion
+is run on the columns of adj(C') = D C'^{-1}, D = det(C') = det(C) c_1 ..
+c_n.  Then the unit E_{j+1} becomes D E_{j+1}, every coefficient is an
+integer and every division by alpha_j is exact, so the loop does integer
+arithmetic with no gcd at all; entry (i, j) of the inverse is the one
+Fraction c_i adj(C')_ij / D, built as each column is finished.
+
 FLOAT mode keeps the last two columns but solves columns n-2 .. 1 from
 the LU factors instead (``lu_columns``): in binary64 the recursion runs
 against the dominant solution of its own homogeneous part and amplifies
@@ -31,26 +40,18 @@ SYMBOLIC keep the paper's recursion.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from .factorization import (LUFactors, OpCounter, Substitution, ZeroPivotError,
-                            bumped_beta, factorize)
+from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
+                            Substitution, ZeroPivotError, bumped_beta,
+                            factorize, pivot_product)
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
 from .scalars import RationalFunction, ScalarMode
 
 _T = RationalFunction.t()
-
-
-class NonFiniteResultError(ArithmeticError):
-    """A FLOAT inverse entry overflowed to inf or became nan, typically
-    through a tiny pivot in the unpivoted factorization."""
-
-    def __init__(self, row: int, column: int):
-        self.row = row
-        self.column = column
-        super().__init__(f"float inverse entry ({row}, {column}) is not finite; "
-                         "retry in exact mode")
 
 
 @dataclass(frozen=True)
@@ -117,42 +118,76 @@ def last_two_columns(F: LUFactors, C: ComradeMatrix,
     return _column_n(F, alpha, ops), _column_n_minus_1(F, alpha, ops)
 
 
+def _integer_scaled(C: ComradeMatrix):
+    """(c, C diag(c)): c_k is the lcm of the denominators in column k of
+    C, so every entry of C diag(c) is an integer."""
+    n = C.n
+    # beta_k and gamma_{k+1} sit in column k, alpha_k in column k+1 and
+    # a_m in column n-m+1 (0-based below)
+    column_of = {"beta": range(n), "alpha": range(1, n), "gamma": range(n - 1),
+                 "a": range(n - 3, -1, -1)}
+    dens = [[] for _ in range(n)]
+    for name, cols in column_of.items():
+        for k0, v in zip(cols, getattr(C, name)):
+            dens[k0].append(v.denominator)
+    scale = [math.lcm(*d) for d in dens]
+    return scale, replace(C, **{
+        name: tuple(v.numerator * (scale[k0] // v.denominator)
+                    for k0, v in zip(cols, getattr(C, name)))
+        for name, cols in column_of.items()})
+
+
 def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
                       ops: OpCounter | None = None):
     """Columns n-2 down to 1 (returned in that order) via the four-term
     column recursion.  C must carry the same working entries the first
     two columns were computed from, including any t-substituted alphas
-    and +t-bumped diagonal."""
+    and +t-bumped diagonal.
+
+    In EXACT mode the recursion runs on the integer adjugate columns of
+    C diag(c) (see the module docstring); the returned Fractions are
+    the same as those of the recursion on Fractions."""
     if ops is None:
         ops = OpCounter()
     n = C.n
-    w = mode.scalar
-    beta = [w(v) for v in C.beta]
-    alpha = [w(v) for v in C.alpha]
-    gamma = [w(v) for v in C.gamma]
-    a = [w(v) for v in C.a]
-    one, zero = w(1), w(0)
+    if mode is ScalarMode.EXACT:
+        scale, C = _integer_scaled(C)
+        # the unit D = +-det(C'), from the first entry of inverse column n
+        # or n-1: the (n, 1) and (n-1, 1) minors of C' are triangular, so
+        # adj(C')_{1,n} = +-alpha_1 .. alpha_{n-1} and adj(C')_{1,n-1} =
+        # +-alpha_1 .. alpha_{n-2} beta_n, and S_{1,k} = c_1 adj(C')_{1,k} / D.
+        # Column n of C' is nonzero, so one of the two is; the sign of the
+        # unit cancels from the output.
+        head = math.prod(C.alpha[:n - 2])
+        if C.alpha[n - 2]:
+            adj, first = head * C.alpha[n - 2], col_n[0]
+        else:
+            adj, first = head * C.beta[n - 1], col_n1[0]
+        unit = scale[0] * adj * first.denominator // first.numerator
+        col_n, col_n1 = ([unit * v.numerator // (v.denominator * c)
+                          for v, c in zip(col, scale)] for col in (col_n, col_n1))
+        divide = operator.floordiv                    # exact: adjugate entries are integers
+        output = lambda col: [Fraction(c * v, unit) for c, v in zip(scale, col)]
+    else:
+        w = mode.scalar
+        C = replace(C, **{name: tuple(map(w, getattr(C, name)))
+                          for name in ("beta", "alpha", "gamma", "a")})
+        unit = w(1)
+        divide = operator.truediv
+        output = lambda col: col
 
     cols = []
-    # j = n-2: no a-term, column n-1 of the matrix ends in gamma_n
-    b, g, al = beta[n - 2], gamma[n - 2], alpha[n - 3]
-    col = []
-    for i0 in range(n):
-        e = one if i0 == n - 2 else zero
-        col.append((e - b * col_n1[i0] - g * col_n[i0]) / al)
-        ops.tally(5)
-    cols.append(col)
-    for j in range(n - 3, 0, -1):                     # 1-based column index j
-        cj1 = cols[-1]                                # Col_{j+1}
-        cj2 = col_n1 if j == n - 3 else cols[-2]      # Col_{j+2}
-        b, g, al = beta[j], gamma[j], alpha[j - 1]    # beta_{j+1}, gamma_{j+2}, alpha_j
-        coeff_a = a[n - j - 3]                        # a_{n-j}
-        col = []
-        for i0 in range(n):
-            e = one if i0 == j else zero
-            col.append((e - b * cj1[i0] - g * cj2[i0] - coeff_a * col_n[i0]) / al)
-            ops.tally(7)
-        cols.append(col)
+    prev2, prev1 = col_n, col_n1                      # Col_{j+2}, Col_{j+1}
+    for j in range(n - 2, 0, -1):                     # 1-based column index j
+        # -beta_{j+1}, -gamma_{j+2}, -a_{n-j} and alpha_j; column n-1 of
+        # the matrix ends in gamma_n, so there is no a-term for j = n-2
+        b, g, al = -C.beta[j], -C.gamma[j], C.alpha[j - 1]
+        f = -C.a[n - j - 3] if j < n - 2 else 0
+        col = [divide(b * u + g * v + f * z, al) for u, v, z in zip(prev1, prev2, col_n)]
+        col[j] = divide(unit + b * prev1[j] + g * prev2[j] + f * col_n[j], al)
+        ops.tally(7 * n if j < n - 2 else 5 * n)
+        cols.append(output(col))
+        prev2, prev1 = prev1, col
     return cols
 
 
@@ -225,11 +260,7 @@ def invert(C: ComradeMatrix, mode: ScalarMode, *, parallel_columns: bool = False
                          tuple(w(v) for v in C.gamma), tuple(w(v) for v in C.a))
 
     F = factorize(work, mode, ops)
-    det = F.mu[0]
-    for m in F.mu[1:]:
-        det = det * m
-    ops.tally(n - 1)
-    det = mode.finalize(det)
+    det = pivot_product(F, ops)
     if det == 0:
         raise SingularMatrixError()
     if mode is not ScalarMode.SYMBOLIC:
@@ -245,13 +276,14 @@ def invert(C: ComradeMatrix, mode: ScalarMode, *, parallel_columns: bool = False
     else:
         rest = remaining_columns(col_n, col_n1, work, mode, ops)
         columns = list(reversed(rest)) + [col_n1, col_n]
-    rows = tuple(tuple(mode.finalize(columns[j][i0]) for j in range(n))
-                 for i0 in range(n))
-    if mode is ScalarMode.FLOAT:
+    rows = tuple(zip(*columns))
+    if mode is ScalarMode.SYMBOLIC:                   # finalize is the identity otherwise
+        rows = tuple(tuple(map(mode.finalize, row)) for row in rows)
+    elif mode is ScalarMode.FLOAT:
         for i0, row in enumerate(rows):
             for j0, v in enumerate(row):
                 if not math.isfinite(v):
-                    raise NonFiniteResultError(i0 + 1, j0 + 1)
+                    raise NonFiniteResultError(f"inverse entry ({i0 + 1}, {j0 + 1})")
     return InverseResult(inverse=DenseMatrix(n, rows), determinant=det,
                          substitutions=tuple(F.substitutions) + tuple(alpha_subs),
                          op_count=ops.count)

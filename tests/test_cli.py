@@ -47,6 +47,13 @@ class TestDet:
         assert code == 0
         assert float(out) == 5.5
 
+    def test_float_overflow_is_an_error(self, capsys, comrade_file):
+        path = comrade_file(support.TINY_PIVOT3)
+        code, out, err = run(capsys, "det", str(path), "--mode", "float")
+        assert (code, out) == (6, "")
+        assert err == "error: float determinant is not finite; retry in exact mode\n"
+        assert run(capsys, "det", str(path))[0] == 0
+
 
 class TestInv:
     def test_writes_inverse_file(self, capsys, comrade_file, tmp_path):

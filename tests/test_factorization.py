@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import support
-from comrade import (OpCounter, Polynomial, RationalFunction, ScalarMode,
-                     Substitution, ZeroPivotError, dense_det, determinant,
+from comrade import (NonFiniteResultError, OpCounter, Polynomial,
+                     RationalFunction, ScalarMode, Substitution,
+                     ZeroPivotError, dense_det, determinant,
                      example33, factorize, random_comrade, reconstruct_LU,
                      to_dense)
 from comrade.factorization import bumped_beta
@@ -177,6 +178,14 @@ class TestDeterminant:
         exact = determinant(example33(6), ScalarMode.EXACT)
         assert isinstance(d, float)
         assert math.isclose(d, float(exact), rel_tol=1e-12)
+
+    def test_float_overflow_raises(self):
+        # 1e-300 * -inf * nan: the tiny leading pivot overflows the next one
+        with pytest.raises(NonFiniteResultError) as info:
+            determinant(support.TINY_PIVOT3, ScalarMode.FLOAT)
+        assert str(info.value) == "float determinant is not finite; retry in exact mode"
+        assert determinant(support.TINY_PIVOT3, ScalarMode.EXACT) == dense_det(
+            to_dense(support.TINY_PIVOT3))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mode_consistency_random(self, seed):

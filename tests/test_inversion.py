@@ -1,7 +1,13 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:                                   # fixed seeds instead
+    given = None
 
 import support
 from comrade import (DenseMatrix, NonFiniteResultError, Polynomial,
@@ -198,6 +204,52 @@ class TestInvertProperties:
         assert "not finite" in str(info.value)
         exact = invert(C, ScalarMode.EXACT).inverse
         assert exact == dense_invert(to_dense(C))
+
+
+#: Zero patterns and entry sizes the fraction-free EXACT recursion must
+#: handle; "alpha_{n-1} = 0" sends its unit through column n-1.
+PATTERNS = ("dense", "zero gammas", "zero a", "alpha_{n-1} = 0", "integers")
+
+if given is None:
+    over_seeds = pytest.mark.parametrize("seed", range(3))
+else:
+    def over_seeds(test):
+        return settings(max_examples=3, deadline=None, derandomize=True, database=None)(
+            given(seed=st.integers(0, 2 ** 32 - 1))(test))
+
+
+def patterned_comrade(n, pattern, seed):
+    """Seeded matrix with entries +-p/q, p and q up to 10**6 (q = 1 for
+    "integers"), with alpha_1 .. alpha_{n-2} and the diagonal nonzero."""
+    rng = random.Random(f"pattern:{n}:{pattern}:{seed}")
+    top = 1 if pattern == "integers" else 10 ** 6
+    nonzero = lambda: F(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, top))
+    entries = lambda count, zero: [F(0) if zero else nonzero() for _ in range(count)]
+    alpha = entries(n - 1, False)
+    if pattern == "alpha_{n-1} = 0":
+        alpha[-1] = F(0)
+    return make_comrade(n, entries(n, False), alpha,
+                        entries(n - 1, pattern == "zero gammas"),
+                        entries(n - 2, pattern == "zero a"))
+
+
+class TestIntegerRecursion:
+    """EXACT runs the column recursion on integer adjugate columns;
+    SYMBOLIC runs the same loop on RationalFunctions, and the dense
+    oracle shares no code with either."""
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @over_seeds
+    def test_matches_oracle_and_symbolic(self, n, pattern, seed):
+        C = patterned_comrade(n, pattern, seed)
+        exact = invert(C, ScalarMode.EXACT)
+        assert exact.inverse == dense_invert(to_dense(C))
+        assert exact.op_count == 7 * n * n - 5 * n - 11
+        symbolic = invert(C, ScalarMode.SYMBOLIC)
+        assert symbolic.inverse == exact.inverse
+        assert symbolic.determinant == exact.determinant
+        assert symbolic.substitutions == ()
 
 
 class TestParallelColumns:

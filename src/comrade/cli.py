@@ -128,7 +128,7 @@ def _cmd_bench(args) -> int:
             else:
                 C = random_comrade(n, args.seed, args.zero_pivot_bias)
             start = time.perf_counter()
-            result = invert(C, mode, parallel_columns=args.parallel_columns)
+            result = invert(C, mode)
             wall = time.perf_counter() - start
             epsilon = _bench_epsilon(C, result, mode)
             writer.writerow([n, mode.value, result.op_count,
@@ -176,8 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated, e.g. 50,100,500")
     p.add_argument("--mode", choices=[m.value for m in ScalarMode], default=None,
                    help="arithmetic mode (default: float)")
-    p.add_argument("--parallel-columns", action="store_true",
-                   help="solve the last two columns on two threads")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zero-pivot-bias", type=float, default=0.0)
     p.add_argument("-o", "--output", default=None)

@@ -28,6 +28,26 @@ integer and every division by alpha_j is exact, so the loop does integer
 arithmetic with no gcd at all; entry (i, j) of the inverse is the one
 Fraction c_i adj(C')_ij / D, built as each column is finished.
 
+SYMBOLIC mode runs the same integer loop, by Kronecker substitution.
+The entries of M(t) are constants or linear in t (a bumped beta_i + t,
+a substituted alpha_j = t), so with the same column scaling C' =
+M(t) diag(c) has entries in Z[t], and D(t) = det C' and every adjugate
+entry are integer polynomials of degree at most k, the number of rows
+that carry t.  Each polynomial p(t) is held as the one integer p(2^B).
+Evaluation at 2^B is a ring homomorphism, so the loop's sums and
+products stay exact.  Each divisor alpha'_j is an integer or c t, and
+the recursion's numerator is alpha'_j(t) times an adjugate entry in
+Z[t]; so at 2^B it is an exact multiple of the nonzero alpha'_j(2^B),
+and ``//`` returns the packed quotient.  The coefficients are read back
+as balanced base-2^B digits, which is unique while each is below
+2^(B-1) in absolute value.  A minor of C' that lacks one row is a
+signed sum over permutations, so its coefficients are bounded by the
+product of the rows' sums of |coefficient|, all rows but the smallest;
+B is that bound's bit length plus a sign bit.  D(t) comes from the
+first entry of column n (or n-1) as in EXACT mode, by one exact
+division in Q[t], and entry (i, j) is the canonical RationalFunction
+c_i adj(C')_ij(t) / D(t).  No polynomial gcd runs inside the loop.
+
 FLOAT mode keeps the last two columns but solves columns n-2 .. 1 from
 the LU factors instead (``lu_columns``): in binary64 the recursion runs
 against the dominant solution of its own homogeneous part and amplifies
@@ -41,7 +61,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -49,7 +68,7 @@ from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
                             Substitution, ZeroPivotError, bumped_beta,
                             factorize, pivot_product)
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
-from .scalars import RationalFunction, ScalarMode
+from .scalars import Polynomial, RationalFunction, ScalarMode
 
 _T = RationalFunction.t()
 
@@ -95,46 +114,100 @@ def _column_n_minus_1(F: LUFactors, alpha, ops: OpCounter):
     return s
 
 
-def last_two_columns(F: LUFactors, C: ComradeMatrix,
-                     ops: OpCounter | None = None, parallel: bool = False):
+def last_two_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
     """Columns n and n-1 of the inverse, as top-to-bottom lists.
 
     C must be the matrix F was computed from (same working entries), so
-    its superdiagonal is the one sitting along U.  The two columns are
-    independent; ``parallel=True`` computes them on two threads with
-    private op sub-counters, bit-identically to the sequential path.
+    its superdiagonal is the one sitting along U.
     """
     if ops is None:
         ops = OpCounter()
     alpha = [F.mode.scalar(v) for v in C.alpha]
-    if parallel:
-        ops_n, ops_n1 = OpCounter(), OpCounter()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_n = pool.submit(_column_n, F, alpha, ops_n)
-            fut_n1 = pool.submit(_column_n_minus_1, F, alpha, ops_n1)
-            col_n, col_n1 = fut_n.result(), fut_n1.result()
-        ops.tally(ops_n.count + ops_n1.count)
-        return col_n, col_n1
     return _column_n(F, alpha, ops), _column_n_minus_1(F, alpha, ops)
 
 
-def _integer_scaled(C: ComradeMatrix):
-    """(c, C diag(c)): c_k is the lcm of the denominators in column k of
-    C, so every entry of C diag(c) is an integer."""
-    n = C.n
-    # beta_k and gamma_{k+1} sit in column k, alpha_k in column k+1 and
-    # a_m in column n-m+1 (0-based below)
-    column_of = {"beta": range(n), "alpha": range(1, n), "gamma": range(n - 1),
-                 "a": range(n - 3, -1, -1)}
-    dens = [[] for _ in range(n)]
-    for name, cols in column_of.items():
-        for k0, v in zip(cols, getattr(C, name)):
-            dens[k0].append(v.denominator)
+def _positions(n: int):
+    """0-based (row, column) of every stored entry, family by family:
+    beta_k and gamma_{k+1} sit in column k, alpha_k in column k+1 and a_m
+    in column n-m+1 of the last row."""
+    return {"beta": [(k0, k0) for k0 in range(n)],
+            "alpha": [(k0, k0 + 1) for k0 in range(n - 1)],
+            "gamma": [(k0 + 1, k0) for k0 in range(n - 1)],
+            "a": [(n - 1, k0) for k0 in range(n - 3, -1, -1)]}
+
+
+def _integer_scaled(C: ComradeMatrix, coefficients=lambda v: (v,)):
+    """(c, entries): c_k is the lcm of the denominators of the
+    coefficients of the entries in column k of C, and entries maps each
+    family to (row, integer coefficients of c_k times the entry) pairs.
+    An EXACT entry has the one coefficient (v,); ``coefficients`` gives
+    those of a SYMBOLIC entry, a polynomial in t."""
+    positions = _positions(C.n)
+    coeffs = {name: [coefficients(v) for v in getattr(C, name)] for name in positions}
+    dens = [[1] for _ in range(C.n)]
+    for name, pos in positions.items():
+        for (_, k0), cs in zip(pos, coeffs[name]):
+            dens[k0].extend(c.denominator for c in cs)
     scale = [math.lcm(*d) for d in dens]
-    return scale, replace(C, **{
-        name: tuple(v.numerator * (scale[k0] // v.denominator)
-                    for k0, v in zip(cols, getattr(C, name)))
-        for name, cols in column_of.items()})
+    return scale, {name: [(i0, [c.numerator * (scale[k0] // c.denominator) for c in cs])
+                          for (i0, k0), cs in zip(pos, coeffs[name])]
+                   for name, pos in positions.items()}
+
+
+def _polynomial_coefficients(v):
+    """Coefficients of a SYMBOLIC working entry, which is a polynomial in t."""
+    if not isinstance(v, RationalFunction):
+        return (Fraction(v),)
+    if v.den != 1:
+        raise ValueError(f"working entry {v} is not a polynomial in t")
+    return v.num.coeffs
+
+
+def _kronecker_packed(C: ComradeMatrix):
+    """(c, width, degree, C') for a SYMBOLIC working matrix: C' holds the
+    integer polynomials p(t) of C diag(c) as the integers p(2^width).
+
+    Only adjugate entries are ever unpacked.  Each is a minor that lacks
+    one row and is a signed sum over permutations, so its coefficients
+    are at most the product of all row sums of |coefficient| but the
+    smallest in absolute value, and its degree is at most the sum of the
+    rows' largest degrees; width leaves one more bit for the sign."""
+    scale, entries = _integer_scaled(C, _polynomial_coefficients)
+    row_sum, row_degree = [0] * C.n, [0] * C.n
+    for pairs in entries.values():
+        for i0, cs in pairs:
+            row_sum[i0] += sum(map(abs, cs))
+            row_degree[i0] = max(row_degree[i0], len(cs) - 1)
+    width = math.prod(sorted(row_sum)[1:]).bit_length() + 1
+    return scale, width, sum(row_degree), replace(C, **{
+        name: tuple(_pack(cs, width) for _, cs in pairs)
+        for name, pairs in entries.items()})
+
+
+def _pack(coefficients, width: int) -> int:
+    """The integer polynomial with these coefficients at t = 2^width."""
+    return sum(c << (width * k) for k, c in enumerate(coefficients))
+
+
+def _unpack(v: int, width: int, degree: int) -> list:
+    """Coefficients of the packed polynomial v of at most this degree, as
+    balanced digits in [-2^(width-1), 2^(width-1))."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(degree + 1):
+        d = ((v + half) & mask) - half
+        digits.append(d)
+        v = (v - d) >> width
+    assert v == 0, "packed polynomial exceeds its degree or coefficient bound"
+    return digits
+
+
+def _exact_quotient(p: Polynomial, q: Polynomial) -> list:
+    """Integer coefficients of p / q, which must be exact in Q[t] with a
+    quotient in Z[t]."""
+    quotient, remainder = divmod(p, q)
+    assert remainder.is_zero and all(c.denominator == 1 for c in quotient.coeffs)
+    return [c.numerator for c in quotient.coeffs]
 
 
 def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
@@ -144,14 +217,29 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
     two columns were computed from, including any t-substituted alphas
     and +t-bumped diagonal.
 
-    In EXACT mode the recursion runs on the integer adjugate columns of
-    C diag(c) (see the module docstring); the returned Fractions are
-    the same as those of the recursion on Fractions."""
+    EXACT and SYMBOLIC run the recursion on the integer adjugate columns
+    of C diag(c), SYMBOLIC with its polynomials packed into integers (see
+    the module docstring); the returned Fractions and canonical
+    RationalFunctions are the same as those of the recursion on
+    Fractions and RationalFunctions.  FLOAT (direct calls only; ``invert``
+    solves FLOAT columns with ``lu_columns``) divides floats."""
     if ops is None:
         ops = OpCounter()
     n = C.n
-    if mode is ScalarMode.EXACT:
-        scale, C = _integer_scaled(C)
+    if mode is ScalarMode.FLOAT:
+        w = mode.scalar
+        C = replace(C, **{name: tuple(map(w, getattr(C, name)))
+                          for name in ("beta", "alpha", "gamma", "a")})
+        unit = w(1)
+        divide = operator.truediv
+        output = lambda col: col
+    else:
+        if mode is ScalarMode.EXACT:
+            scale, entries = _integer_scaled(C)
+            C = replace(C, **{name: tuple(cs[0] for _, cs in pairs)
+                              for name, pairs in entries.items()})
+        else:
+            scale, width, degree, C = _kronecker_packed(C)
         # the unit D = +-det(C'), from the first entry of inverse column n
         # or n-1: the (n, 1) and (n-1, 1) minors of C' are triangular, so
         # adj(C')_{1,n} = +-alpha_1 .. alpha_{n-1} and adj(C')_{1,n-1} =
@@ -163,18 +251,22 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
             adj, first = head * C.alpha[n - 2], col_n[0]
         else:
             adj, first = head * C.beta[n - 1], col_n1[0]
-        unit = scale[0] * adj * first.denominator // first.numerator
-        col_n, col_n1 = ([unit * v.numerator // (v.denominator * c)
-                          for v, c in zip(col, scale)] for col in (col_n, col_n1))
+        if mode is ScalarMode.EXACT:
+            unit = scale[0] * adj * first.denominator // first.numerator
+            col_n, col_n1 = ([unit * v.numerator // (v.denominator * c)
+                              for v, c in zip(col, scale)] for col in (col_n, col_n1))
+            output = lambda col: [Fraction(c * v, unit) for c, v in zip(scale, col)]
+        else:
+            # the same in Z[t], evaluated at t = 2^width
+            coeffs = _exact_quotient(
+                Polynomial(_unpack(adj, width, degree)) * (scale[0] * first.den), first.num)
+            unit, det = _pack(coeffs, width), Polynomial(coeffs)
+            col_n, col_n1 = ([_pack(_exact_quotient(det * v.num, v.den * c), width)
+                              for v, c in zip(col, scale)] for col in (col_n, col_n1))
+            output = lambda col: [
+                RationalFunction(Polynomial([c * d for d in _unpack(v, width, degree)]), det)
+                for c, v in zip(scale, col)]
         divide = operator.floordiv                    # exact: adjugate entries are integers
-        output = lambda col: [Fraction(c * v, unit) for c, v in zip(scale, col)]
-    else:
-        w = mode.scalar
-        C = replace(C, **{name: tuple(map(w, getattr(C, name)))
-                          for name in ("beta", "alpha", "gamma", "a")})
-        unit = w(1)
-        divide = operator.truediv
-        output = lambda col: col
 
     cols = []
     prev2, prev1 = col_n, col_n1                      # Col_{j+2}, Col_{j+1}
@@ -229,11 +321,11 @@ def lu_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
     return cols
 
 
-def invert(C: ComradeMatrix, mode: ScalarMode, *, parallel_columns: bool = False) -> InverseResult:
+def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     """Full inverse.  Raises SingularMatrixError when the determinant is
     exactly zero, ZeroPivotError in EXACT/FLOAT mode when the symbolic
     rescue would be needed, and NonFiniteResultError in FLOAT mode when
-    an inverse entry is inf or nan.
+    the determinant or an inverse entry is inf or nan.
 
     EXACT and SYMBOLIC take 7n^2 - 5n - 11 field operations when nothing
     is degenerate: 6n - 9 to factorize, n - 1 for the determinant, 4n - 1
@@ -270,7 +362,7 @@ def invert(C: ComradeMatrix, mode: ScalarMode, *, parallel_columns: bool = False
     if F.substitutions:
         work = replace(work, beta=bumped_beta(F, work))
 
-    col_n, col_n1 = last_two_columns(F, work, ops, parallel=parallel_columns)
+    col_n, col_n1 = last_two_columns(F, work, ops)
     if mode is ScalarMode.FLOAT:
         columns = lu_columns(F, work, ops) + [col_n1, col_n]
     else:
@@ -284,6 +376,8 @@ def invert(C: ComradeMatrix, mode: ScalarMode, *, parallel_columns: bool = False
             for j0, v in enumerate(row):
                 if not math.isfinite(v):
                     raise NonFiniteResultError(f"inverse entry ({i0 + 1}, {j0 + 1})")
+        if not math.isfinite(det):
+            raise NonFiniteResultError("determinant")
     return InverseResult(inverse=DenseMatrix(n, rows), determinant=det,
                          substitutions=tuple(F.substitutions) + tuple(alpha_subs),
                          op_count=ops.count)

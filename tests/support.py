@@ -84,6 +84,10 @@ IDENTITY3 = make_comrade(3, (1, 1, 1), (0, 0), (0, 0), (0,))
 # factorization, so the float inverse comes out inf/nan.
 TINY_PIVOT3 = make_comrade(3, (F(1, 10**300), 2, 3), (10**10, 1), (1, 1), (1,))
 
+# Every float inverse entry is finite (about 1e-200 or 0), but the
+# determinant, the product of three pivots near 1e200, overflows.
+HUGE_DIAGONAL3 = make_comrade(3, (10**200,) * 3, (1, 1), (1, 1), (1,))
+
 # Frozen output of random_comrade(4, 7, 0.0); guards the generator
 # against silent reseeding, which would invalidate seeded regressions.
 GOLDEN_RANDOM_4_7 = dict(

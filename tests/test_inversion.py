@@ -17,7 +17,7 @@ from comrade import (DenseMatrix, NonFiniteResultError, Polynomial,
                      dense_times_comrade, determinant, example33, factorize,
                      invert, last_two_columns, make_comrade, random_comrade,
                      remaining_columns, to_dense)
-from comrade.factorization import OpCounter, bumped_beta
+from comrade.factorization import bumped_beta
 from comrade.inversion import lu_columns
 
 T = RationalFunction.t()
@@ -205,6 +205,13 @@ class TestInvertProperties:
         exact = invert(C, ScalarMode.EXACT).inverse
         assert exact == dense_invert(to_dense(C))
 
+    def test_float_determinant_overflow_raises(self):
+        C = support.HUGE_DIAGONAL3
+        with pytest.raises(NonFiniteResultError) as info:
+            invert(C, ScalarMode.FLOAT)
+        assert str(info.value) == "float determinant is not finite; retry in exact mode"
+        assert invert(C, ScalarMode.EXACT).determinant == 10**600 - 2 * 10**200 + 1
+
 
 #: Zero patterns and entry sizes the fraction-free EXACT recursion must
 #: handle; "alpha_{n-1} = 0" sends its unit through column n-1.
@@ -252,25 +259,125 @@ class TestIntegerRecursion:
         assert symbolic.substitutions == ()
 
 
-class TestParallelColumns:
-    def test_bit_identical_results(self):
-        cases = [
-            (support.SAMPLE5, ScalarMode.EXACT),
-            (support.ZERO_PIVOT4, ScalarMode.SYMBOLIC),
-            (example33(8), ScalarMode.FLOAT),
-        ]
-        for C, mode in cases:
-            seq = invert(C, mode)
-            par = invert(C, mode, parallel_columns=True)
-            assert par.inverse == seq.inverse
-            assert par.determinant == seq.determinant
-            assert par.op_count == seq.op_count
-            assert par.substitutions == seq.substitutions
+#: Zero patterns that make SYMBOLIC substitute t: zero pivots (beta_1 = 0,
+#: a beta that cancels its pivot, or a zero beta under a zero gamma) and
+#: zero interior alphas, alone and together with zero entry families.
+#: "dominant" has integer diagonals and off-diagonals +-1/q, so that in
+#: every row of C diag(c) one entry, a constant or a multiple of t, is far
+#: larger than the others, and some coefficients of the adjugate are close
+#: to the bound the packing width is taken from.
+ZERO_PATTERNS = ("pivots", "alphas and a pivot", "zero gammas", "zero a",
+                 "alpha_{n-1} = 0", "dominant")
 
-    def test_last_two_columns_parallel(self):
-        Ft = factorize(support.SAMPLE5, ScalarMode.EXACT)
-        ops_seq, ops_par = OpCounter(), OpCounter()
-        seq = last_two_columns(Ft, support.SAMPLE5, ops_seq)
-        par = last_two_columns(Ft, support.SAMPLE5, ops_par, parallel=True)
-        assert par == seq
-        assert ops_par.count == ops_seq.count
+
+def zero_patterned_comrade(n, pattern, seed):
+    """Seeded matrix with entries +-p/q, p and q up to 10**6, and up to
+    three zero pivots and three zero interior alphas."""
+    rng = random.Random(f"zeros:{n}:{pattern}:{seed}")
+    sign = lambda: rng.choice((-1, 1))
+    nonzero = lambda: F(sign() * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+    beta, alpha, gamma, a = ([nonzero() for _ in range(k)] for k in (n, n - 1, n - 1, n - 2))
+    if pattern == "dominant":
+        beta = [F(sign() * rng.randint(1, 10 ** 6)) for _ in range(n)]
+        alpha, gamma, a = ([F(sign(), rng.randint(1, 10 ** 6)) for _ in range(k)]
+                           for k in (n - 1, n - 1, n - 2))
+    if pattern == "zero gammas":
+        gamma = [F(0)] * (n - 1)
+    if pattern == "zero a":
+        a = [F(0)] * (n - 2)
+    if pattern == "alpha_{n-1} = 0":
+        alpha[-1] = F(0)
+    if pattern not in ("pivots", "zero gammas"):
+        for j0 in rng.sample(range(n - 2), rng.randint(1, min(3, n - 2))):
+            alpha[j0] = F(0)
+    # a zero pivot next to a zero alpha could empty its row or column
+    rows = [i0 for i0 in range(n - 1) if alpha[i0] != 0 and (i0 == 0 or alpha[i0 - 1] != 0)]
+    pivots = rng.sample(rows, min(rng.randint(1, 3), len(rows)))
+    if pattern == "alphas and a pivot":
+        pivots = pivots[:1]
+    mu = None                                         # the last pivot, if constant
+    for i0 in range(n - 1):
+        if i0 in pivots:
+            if i0 > 0 and mu is not None and rng.random() < 0.5:
+                beta[i0] = alpha[i0 - 1] * gamma[i0 - 1] / mu
+            else:
+                beta[i0] = F(0)
+                if i0 > 0:
+                    gamma[i0 - 1] = F(0)
+            mu = None
+        elif i0 == 0 or gamma[i0 - 1] == 0:
+            mu = beta[i0]
+        elif mu is not None and alpha[i0 - 1] != 0:
+            mu = beta[i0] - alpha[i0 - 1] * gamma[i0 - 1] / mu
+        else:
+            mu = None
+    return make_comrade(n, beta, alpha, gamma, a)
+
+
+def rf_recursion(col_n, col_n1, work):
+    """Columns n-2 .. 1 by the column recursion on RationalFunctions."""
+    n, w = work.n, ScalarMode.SYMBOLIC.scalar
+    beta, alpha, gamma, a = ([w(v) for v in getattr(work, name)]
+                             for name in ("beta", "alpha", "gamma", "a"))
+    cols, prev2, prev1 = [], col_n, col_n1
+    for j in range(n - 2, 0, -1):
+        b, g, al = -beta[j], -gamma[j], alpha[j - 1]
+        f = -a[n - j - 3] if j < n - 2 else 0
+        col = [(b * u + g * v + f * z) / al for u, v, z in zip(prev1, prev2, col_n)]
+        col[j] = (1 + b * prev1[j] + g * prev2[j] + f * col_n[j]) / al
+        cols.append(col)
+        prev2, prev1 = prev1, col
+    return cols
+
+
+def symbolic_columns(C):
+    """(M(t), columns 1 .. n of its inverse as RationalFunctions), built
+    as ``invert`` builds them in SYMBOLIC mode."""
+    n = C.n
+    alpha = tuple(T if j0 < n - 2 and v == 0 else v for j0, v in enumerate(C.alpha))
+    Ft = factorize(replace(C, alpha=alpha), ScalarMode.SYMBOLIC)
+    work = replace(C, alpha=alpha, beta=bumped_beta(Ft, C))
+    col_n, col_n1 = last_two_columns(Ft, work)
+    cols = remaining_columns(col_n, col_n1, work, ScalarMode.SYMBOLIC)
+    return work, list(reversed(cols)) + [col_n1, col_n]
+
+
+def at(v, t):
+    """An entry of M(t) or of its inverse at the rational point t."""
+    return v.num(t) / v.den(t) if isinstance(v, RationalFunction) else v
+
+
+class TestPackedSymbolicRecursion:
+    """SYMBOLIC runs the column recursion on integer polynomials packed
+    into integers.  Its RationalFunction columns must be the inverse of
+    the perturbed matrix M(t) at t = 0, where M(0) is the input, and at
+    t = 2/7 (the dense oracle shares no code with them), and equal,
+    canonical form for canonical form, those of the recursion on
+    RationalFunctions."""
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    @pytest.mark.parametrize("pattern", ZERO_PATTERNS)
+    @over_seeds
+    def test_matches_oracle(self, n, pattern, seed):
+        C = zero_patterned_comrade(n, pattern, seed)
+        if dense_det(to_dense(C)) == 0:
+            with pytest.raises(SingularMatrixError):
+                invert(C, ScalarMode.SYMBOLIC)
+            return
+        work, cols = symbolic_columns(C)
+        assert work != C                              # something was substituted
+        for t in (F(0), F(2, 7)):
+            M = make_comrade(n, *([at(v, t) for v in getattr(work, name)]
+                                  for name in ("beta", "alpha", "gamma", "a")))
+            assert [tuple(at(v, t) for v in col) for col in cols] == \
+                list(zip(*dense_invert(to_dense(M)).rows))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("pattern", ZERO_PATTERNS)
+    @over_seeds
+    def test_matches_rf_recursion(self, n, pattern, seed):
+        C = zero_patterned_comrade(n, pattern, seed)
+        if dense_det(to_dense(C)) == 0:
+            return
+        work, cols = symbolic_columns(C)
+        assert cols[:n - 2] == list(reversed(rf_recursion(cols[-1], cols[-2], work)))

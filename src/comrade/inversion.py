@@ -45,8 +45,14 @@ signed sum over permutations, so its coefficients are bounded by the
 product of the rows' sums of |coefficient|, all rows but the smallest;
 B is that bound's bit length plus a sign bit.  D(t) comes from the
 first entry of column n (or n-1) as in EXACT mode, by one exact
-division in Q[t], and entry (i, j) is the canonical RationalFunction
-c_i adj(C')_ij(t) / D(t).  No polynomial gcd runs inside the loop.
+division in Q[t].  No polynomial gcd runs inside the loop.  ``invert``
+needs each entry only at t = 0, where it is the Fraction
+c_i adj(C')_ij(0) / D(0): adj(C')_ij(0) is the lowest balanced digit of
+the packed integer, and D(0) = +-det(C) c_1 .. c_n is nonzero because
+``invert`` has already rejected a singular C.  So columns 1 .. n-2 cost
+no RationalFunction at all; only a direct call of ``remaining_columns``
+gets the canonical RationalFunctions c_i adj(C')_ij(t) / D(t), built
+from all the digits.
 
 FLOAT mode keeps the last two columns but solves columns n-2 .. 1 from
 the LU factors instead (``lu_columns``): in binary64 the recursion runs
@@ -211,7 +217,7 @@ def _exact_quotient(p: Polynomial, q: Polynomial) -> list:
 
 
 def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
-                      ops: OpCounter | None = None):
+                      ops: OpCounter | None = None, *, finalize: bool = False):
     """Columns n-2 down to 1 (returned in that order) via the four-term
     column recursion.  C must carry the same working entries the first
     two columns were computed from, including any t-substituted alphas
@@ -222,7 +228,12 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
     the module docstring); the returned Fractions and canonical
     RationalFunctions are the same as those of the recursion on
     Fractions and RationalFunctions.  FLOAT (direct calls only; ``invert``
-    solves FLOAT columns with ``lu_columns``) divides floats."""
+    solves FLOAT columns with ``lu_columns``) divides floats.
+
+    With ``finalize`` the entries come back passed through
+    ``mode.finalize``: in SYMBOLIC mode the Fractions c_i adj_ij(0) / D(0)
+    are read off the packed integers and no RationalFunction is built.
+    That needs M(0) = C to be nonsingular (else ZeroDivisionError)."""
     if ops is None:
         ops = OpCounter()
     n = C.n
@@ -263,9 +274,15 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
             unit, det = _pack(coeffs, width), Polynomial(coeffs)
             col_n, col_n1 = ([_pack(_exact_quotient(det * v.num, v.den * c), width)
                               for v, c in zip(col, scale)] for col in (col_n, col_n1))
-            output = lambda col: [
-                RationalFunction(Polynomial([c * d for d in _unpack(v, width, degree)]), det)
-                for c, v in zip(scale, col)]
+            if finalize:
+                # adj(0) is the lowest balanced base-2^width digit of v
+                half, mask = 1 << (width - 1), (1 << width) - 1
+                output = lambda col: [Fraction(c * (((v + half) & mask) - half), coeffs[0])
+                                      for c, v in zip(scale, col)]
+            else:
+                output = lambda col: [
+                    RationalFunction(Polynomial([c * d for d in _unpack(v, width, degree)]), det)
+                    for c, v in zip(scale, col)]
         divide = operator.floordiv                    # exact: adjugate entries are integers
 
     cols = []
@@ -364,14 +381,11 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
 
     col_n, col_n1 = last_two_columns(F, work, ops)
     if mode is ScalarMode.FLOAT:
-        columns = lu_columns(F, work, ops) + [col_n1, col_n]
+        columns = lu_columns(F, work, ops)
     else:
-        rest = remaining_columns(col_n, col_n1, work, mode, ops)
-        columns = list(reversed(rest)) + [col_n1, col_n]
-    rows = tuple(zip(*columns))
-    if mode is ScalarMode.SYMBOLIC:                   # finalize is the identity otherwise
-        rows = tuple(tuple(map(mode.finalize, row)) for row in rows)
-    elif mode is ScalarMode.FLOAT:
+        columns = remaining_columns(col_n, col_n1, work, mode, ops, finalize=True)[::-1]
+    rows = tuple(zip(*columns, map(mode.finalize, col_n1), map(mode.finalize, col_n)))
+    if mode is ScalarMode.FLOAT:
         for i0, row in enumerate(rows):
             for j0, v in enumerate(row):
                 if not math.isfinite(v):

@@ -17,6 +17,15 @@ Representation invariants:
   gcd(num, den) = 1 and a monic den; zero is 0/1.  Reduction happens
   eagerly after every operation, so structural equality is field
   equality.
+
+Reduction runs ``poly_gcd`` only where the result is not canonical by
+construction (Knuth, TAOCP vol. 2, 4.5.1: skip a gcd known in advance).
+The constructor skips it when num or den is a constant, since the gcd
+is then 1.  For canonical f = N/D with D monic, a polynomial P and a
+nonzero constant c, these are canonical as built: -f = (-N)/D and
+f +- P = (N +- P D)/D, because gcd(N +- P D, D) = gcd(N, D) = 1; f c =
+(c N)/D and f / c = (N / c)/D, because a unit changes no gcd; and
+c / f = (c D / n)/(N / n), where n is the leading coefficient of N.
 """
 
 from __future__ import annotations
@@ -209,6 +218,7 @@ class Polynomial:
 
 #: The indeterminate t as a polynomial.
 POLY_T = Polynomial((0, 1))
+_ONE = Polynomial((1,))
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -237,16 +247,25 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            self.num, self.den = num, Polynomial((1,))
+            self.num, self.den = num, _ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
+        if num.degree > 0 and den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
         lead = den.leading
         if lead != 1:
             inv = 1 / lead
             num, den = num * inv, den * inv
         self.num, self.den = num, den
+
+    @classmethod
+    def _canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den with no reduction, for a pair known to be canonical;
+        a zero num still gives 0/1."""
+        f = object.__new__(cls)
+        f.num, f.den = num, den if num.coeffs else _ONE
+        return f
 
     @classmethod
     def t(cls) -> "RationalFunction":
@@ -257,31 +276,41 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
+    def _is_constant(self) -> bool:
+        return self.num.degree <= 0 and self.den.degree == 0
+
     def _coerced(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return RationalFunction(other)
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial((other,))
+        if isinstance(other, Polynomial):
+            return RationalFunction._canonical(other, _ONE)
         return None
 
     def __add__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
+        # f + P = (N + P D)/D for a polynomial P (den 1), either side
+        if other.den.degree == 0:
+            return RationalFunction._canonical(self.num + other.num * self.den, self.den)
+        if self.den.degree == 0:
+            return RationalFunction._canonical(other.num + self.num * other.den, other.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerced(other)
@@ -293,6 +322,10 @@ class RationalFunction:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
+        if other._is_constant:                        # f c = (c N)/D
+            return RationalFunction._canonical(self.num * other.num, self.den)
+        if self._is_constant:
+            return RationalFunction._canonical(other.num * self.num, other.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -303,6 +336,11 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
+        if other._is_constant:                        # f / c = (N / c)/D
+            return RationalFunction._canonical(self.num * (1 / other.num.leading), self.den)
+        if self._is_constant:                         # c / f = (c D / n)/(N / n)
+            inv = 1 / other.num.leading
+            return RationalFunction._canonical(other.den * self.num * inv, other.num * inv)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -314,10 +352,10 @@ class RationalFunction:
     def at_zero(self) -> Fraction:
         """Value at t = 0; raises PoleAtZeroError if the reduced
         denominator vanishes there."""
-        d0 = self.den(0)
+        d0 = self.den.coeffs[0]
         if d0 == 0:
             raise PoleAtZeroError(self)
-        return self.num(0) / d0
+        return self.num.coeffs[0] / d0 if self.num.coeffs else Fraction(0)
 
     def __eq__(self, other):
         other = self._coerced(other)

@@ -10,6 +10,7 @@ except ImportError:                                   # fixed seeds instead
     given = None
 
 import support
+from comrade import scalars
 from comrade import (DenseMatrix, NonFiniteResultError, Polynomial,
                      RationalFunction, ScalarMode, SingularMatrixError,
                      Substitution, ZeroPivotError,
@@ -381,3 +382,35 @@ class TestPackedSymbolicRecursion:
             return
         work, cols = symbolic_columns(C)
         assert cols[:n - 2] == list(reversed(rf_recursion(cols[-1], cols[-2], work)))
+
+
+class TestSymbolicInvert:
+    """``invert`` in SYMBOLIC mode reads each entry of columns 1 .. n-2 at
+    t = 0 off the packed adjugate, as the lowest balanced digit over D(0),
+    and builds no RationalFunction for it."""
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    @pytest.mark.parametrize("pattern", ZERO_PATTERNS)
+    @over_seeds
+    def test_matches_oracle(self, n, pattern, seed):
+        C = zero_patterned_comrade(n, pattern, seed)
+        D = to_dense(C)
+        if dense_det(D) == 0:
+            with pytest.raises(SingularMatrixError):
+                invert(C, ScalarMode.SYMBOLIC)
+            return
+        res = invert(C, ScalarMode.SYMBOLIC)
+        assert res.inverse == dense_invert(D)
+        assert res.determinant == dense_det(D)
+        assert res.substitutions
+        assert res.op_count == 7 * n * n - 5 * n - 11
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_output_runs_no_gcd_per_entry(self, n, seed, monkeypatch):
+        calls = []
+        gcd = scalars.poly_gcd
+        monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        res = invert(random_comrade(n, seed, zero_pivot_bias=1.0), ScalarMode.SYMBOLIC)
+        assert res.substitutions
+        assert 0 < len(calls) < n * n

@@ -3,6 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:                                   # seeded draws instead
+    given = None
+
 from comrade import (PoleAtZeroError, Polynomial, RationalFunction, ScalarMode,
                      format_rational, parse_rational, poly_gcd)
 from comrade.scalars import POLY_T
@@ -203,6 +208,60 @@ class TestRationalFunction:
                 continue
             assert s0 == a0 + b0
             assert p0 == a0 * b0
+
+
+def reduced(num, den):
+    """(num, den) coefficient tuples of num/den in canonical form, by the
+    textbook route: divide both by their monic gcd, then make den monic."""
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    inv = 1 / den.leading
+    return (num * inv).coeffs, (den * inv).coeffs
+
+
+def check_shortcuts(f, c, p):
+    """The results of -f, f +- p, f +- c, f c, f / c and c / f that skip
+    the gcd equal the general constructor and the textbook reduction."""
+    N, D = f.num, f.den
+    cases = [(-f, -N, D), (f + p, N + p * D, D), (p + f, N + p * D, D),
+             (f - p, N - p * D, D), (p - f, p * D - N, D),
+             (RationalFunction(c), Polynomial((c,)), 1)]
+    for k in (c, RationalFunction(c)):
+        cases += [(f + k, N + D * c, D), (k + f, N + D * c, D),
+                  (f - k, N - D * c, D), (k - f, D * c - N, D),
+                  (f * k, N * c, D), (k * f, N * c, D)]
+        if c != 0:
+            cases.append((f / k, N, D * c))
+        if not f.is_zero:
+            cases.append((k / f, D * c, N))
+    for got, num, den in cases:
+        den = den if isinstance(den, Polynomial) else Polynomial((den,))
+        general = RationalFunction(num, den)
+        assert (got.num.coeffs, got.den.coeffs) == (general.num.coeffs, general.den.coeffs) \
+            == reduced(num, den)
+        assert got.den.leading == 1
+        if got.is_zero:
+            assert got.den.coeffs == (1,)
+
+
+CONSTANTS = (0, 1, -1, F(3, 7), F(-5, 2))
+
+if given is None:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_gcd_free_shortcuts_are_canonical(seed):
+        rng = random.Random(f"shortcuts:{seed}")
+        c = rng.choice(CONSTANTS + (F(rng.randint(-9, 9), rng.randint(1, 9)),))
+        check_shortcuts(rand_rf(rng, 3), c, rand_poly(rng))
+else:
+    coefficients = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(num=coefficients, den=coefficients, p=coefficients,
+           c=st.one_of(st.sampled_from(CONSTANTS),
+                       st.builds(F, st.integers(-9, 9), st.integers(1, 9))))
+    def test_gcd_free_shortcuts_are_canonical(num, den, p, c):
+        assume(any(den))
+        check_shortcuts(RationalFunction(Polynomial(num), Polynomial(den)), c, Polynomial(p))
 
 
 class TestScalarMode:

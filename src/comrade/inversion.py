@@ -72,7 +72,7 @@ from fractions import Fraction
 
 from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
                             Substitution, ZeroPivotError, bumped_beta,
-                            factorize, pivot_product)
+                            factorize, integer_scaled, pivot_product)
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
 from .scalars import Polynomial, RationalFunction, ScalarMode
 
@@ -132,34 +132,6 @@ def last_two_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = Non
     return _column_n(F, alpha, ops), _column_n_minus_1(F, alpha, ops)
 
 
-def _positions(n: int):
-    """0-based (row, column) of every stored entry, family by family:
-    beta_k and gamma_{k+1} sit in column k, alpha_k in column k+1 and a_m
-    in column n-m+1 of the last row."""
-    return {"beta": [(k0, k0) for k0 in range(n)],
-            "alpha": [(k0, k0 + 1) for k0 in range(n - 1)],
-            "gamma": [(k0 + 1, k0) for k0 in range(n - 1)],
-            "a": [(n - 1, k0) for k0 in range(n - 3, -1, -1)]}
-
-
-def _integer_scaled(C: ComradeMatrix, coefficients=lambda v: (v,)):
-    """(c, entries): c_k is the lcm of the denominators of the
-    coefficients of the entries in column k of C, and entries maps each
-    family to (row, integer coefficients of c_k times the entry) pairs.
-    An EXACT entry has the one coefficient (v,); ``coefficients`` gives
-    those of a SYMBOLIC entry, a polynomial in t."""
-    positions = _positions(C.n)
-    coeffs = {name: [coefficients(v) for v in getattr(C, name)] for name in positions}
-    dens = [[1] for _ in range(C.n)]
-    for name, pos in positions.items():
-        for (_, k0), cs in zip(pos, coeffs[name]):
-            dens[k0].extend(c.denominator for c in cs)
-    scale = [math.lcm(*d) for d in dens]
-    return scale, {name: [(i0, [c.numerator * (scale[k0] // c.denominator) for c in cs])
-                          for (i0, k0), cs in zip(pos, coeffs[name])]
-                   for name, pos in positions.items()}
-
-
 def _polynomial_coefficients(v):
     """Coefficients of a SYMBOLIC working entry, which is a polynomial in t."""
     if not isinstance(v, RationalFunction):
@@ -178,16 +150,16 @@ def _kronecker_packed(C: ComradeMatrix):
     are at most the product of all row sums of |coefficient| but the
     smallest in absolute value, and its degree is at most the sum of the
     rows' largest degrees; width leaves one more bit for the sign."""
-    scale, entries = _integer_scaled(C, _polynomial_coefficients)
-    row_sum, row_degree = [0] * C.n, [0] * C.n
-    for pairs in entries.values():
-        for i0, cs in pairs:
-            row_sum[i0] += sum(map(abs, cs))
-            row_degree[i0] = max(row_degree[i0], len(cs) - 1)
+    scale, S = integer_scaled(C, _polynomial_coefficients)
+    n = C.n
+    rows = [(S.beta[i0], S.alpha[i0], *S.gamma[i0 - 1:i0]) for i0 in range(n - 1)]
+    rows.append((S.beta[-1], S.gamma[-1], *S.a))
+    row_sum = [sum(abs(c) for cs in row for c in cs) for row in rows]
     width = math.prod(sorted(row_sum)[1:]).bit_length() + 1
-    return scale, width, sum(row_degree), replace(C, **{
-        name: tuple(_pack(cs, width) for _, cs in pairs)
-        for name, pairs in entries.items()})
+    degree = sum(max(0, *(len(cs) - 1 for cs in row)) for row in rows)
+    return scale, width, degree, replace(S, **{
+        name: tuple(_pack(cs, width) for cs in getattr(S, name))
+        for name in ("beta", "alpha", "gamma", "a")})
 
 
 def _pack(coefficients, width: int) -> int:
@@ -246,9 +218,7 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
         output = lambda col: col
     else:
         if mode is ScalarMode.EXACT:
-            scale, entries = _integer_scaled(C)
-            C = replace(C, **{name: tuple(cs[0] for _, cs in pairs)
-                              for name, pairs in entries.items()})
+            scale, C = integer_scaled(C)
         else:
             scale, width, degree, C = _kronecker_packed(C)
         # the unit D = +-det(C'), from the first entry of inverse column n

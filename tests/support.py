@@ -7,6 +7,7 @@ recomputing them so a regression in the fast path cannot hide behind a
 matching regression in the expectation.
 """
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,3 +98,58 @@ GOLDEN_RANDOM_4_7 = dict(
     a=(F(5), F(2)),
     det=F(-690),
 )
+
+
+#: Zero patterns that make SYMBOLIC substitute t: zero pivots (beta_1 = 0,
+#: a beta that cancels its pivot, or a zero beta under a zero gamma) and
+#: zero interior alphas, alone and together with zero entry families.
+#: "dominant" has integer diagonals and off-diagonals +-1/q, so that in
+#: every row of C diag(c) one entry, a constant or a multiple of t, is far
+#: larger than the others, and some coefficients of the adjugate are close
+#: to the bound the packing width is taken from.
+ZERO_PATTERNS = ("pivots", "alphas and a pivot", "zero gammas", "zero a",
+                 "alpha_{n-1} = 0", "dominant")
+
+
+def zero_patterned_comrade(n, pattern, seed):
+    """Seeded matrix with entries +-p/q, p and q up to 10**6, and up to
+    three zero pivots and three zero interior alphas."""
+    rng = random.Random(f"zeros:{n}:{pattern}:{seed}")
+    sign = lambda: rng.choice((-1, 1))
+    nonzero = lambda: F(sign() * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+    beta, alpha, gamma, a = ([nonzero() for _ in range(k)] for k in (n, n - 1, n - 1, n - 2))
+    if pattern == "dominant":
+        beta = [F(sign() * rng.randint(1, 10 ** 6)) for _ in range(n)]
+        alpha, gamma, a = ([F(sign(), rng.randint(1, 10 ** 6)) for _ in range(k)]
+                           for k in (n - 1, n - 1, n - 2))
+    if pattern == "zero gammas":
+        gamma = [F(0)] * (n - 1)
+    if pattern == "zero a":
+        a = [F(0)] * (n - 2)
+    if pattern == "alpha_{n-1} = 0":
+        alpha[-1] = F(0)
+    if pattern not in ("pivots", "zero gammas"):
+        for j0 in rng.sample(range(n - 2), rng.randint(1, min(3, n - 2))):
+            alpha[j0] = F(0)
+    # a zero pivot next to a zero alpha could empty its row or column
+    rows = [i0 for i0 in range(n - 1) if alpha[i0] != 0 and (i0 == 0 or alpha[i0 - 1] != 0)]
+    pivots = rng.sample(rows, min(rng.randint(1, 3), len(rows)))
+    if pattern == "alphas and a pivot":
+        pivots = pivots[:1]
+    mu = None                                         # the last pivot, if constant
+    for i0 in range(n - 1):
+        if i0 in pivots:
+            if i0 > 0 and mu is not None and rng.random() < 0.5:
+                beta[i0] = alpha[i0 - 1] * gamma[i0 - 1] / mu
+            else:
+                beta[i0] = F(0)
+                if i0 > 0:
+                    gamma[i0 - 1] = F(0)
+            mu = None
+        elif i0 == 0 or gamma[i0 - 1] == 0:
+            mu = beta[i0]
+        elif mu is not None and alpha[i0 - 1] != 0:
+            mu = beta[i0] - alpha[i0 - 1] * gamma[i0 - 1] / mu
+        else:
+            mu = None
+    return make_comrade(n, beta, alpha, gamma, a)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,8 @@ import support
 from comrade import (NonFiniteResultError, OpCounter, Polynomial,
                      RationalFunction, ScalarMode, Substitution,
                      ZeroPivotError, dense_det, determinant,
-                     example33, factorize, random_comrade, reconstruct_LU,
-                     to_dense)
+                     example33, factorize, make_comrade, random_comrade,
+                     reconstruct_LU, to_dense)
 from comrade.factorization import bumped_beta
 from comrade.scalars import POLY_T
 
@@ -198,17 +199,24 @@ class TestDeterminant:
         assert sym == dense_det(to_dense(C))
 
 
+def cost_cases(pinned):
+    """(n, mode) for every mode; the cases of the mode a test first
+    pinned keep their original ids."""
+    return [pytest.param(n, mode, id=str(n) if mode is pinned else f"{n}-{mode.value}")
+            for mode in ScalarMode for n in (3, 5, 10, 37)]
+
+
 class TestOpCounts:
-    @pytest.mark.parametrize("n", [3, 5, 10, 37])
-    def test_factorize_cost(self, n):
+    @pytest.mark.parametrize("n, mode", cost_cases(ScalarMode.EXACT))
+    def test_factorize_cost(self, n, mode):
         ops = OpCounter()
-        factorize(example33(n), ScalarMode.EXACT, ops)
+        factorize(example33(n), mode, ops)
         assert ops.count == 6 * n - 9
 
-    @pytest.mark.parametrize("n", [3, 5, 10, 37])
-    def test_determinant_cost(self, n):
+    @pytest.mark.parametrize("n, mode", cost_cases(ScalarMode.FLOAT))
+    def test_determinant_cost(self, n, mode):
         ops = OpCounter()
-        determinant(example33(n), ScalarMode.FLOAT, ops)
+        determinant(example33(n), mode, ops)
         assert ops.count == 7 * n - 10
 
     def test_cost_is_mode_independent(self):
@@ -216,3 +224,108 @@ class TestOpCounts:
         determinant(support.SAMPLE5, ScalarMode.EXACT, a)
         determinant(support.SAMPLE5, ScalarMode.SYMBOLIC, b)
         assert a.count == b.count == 7 * 5 - 10
+
+
+def fraction_recurrences(C):
+    """(mu, x) of the EXACT pivot and last-row recurrences run directly
+    on Fractions; raises ZeroPivotError at a zero pivot before mu_n."""
+    n = C.n
+    beta, alpha, gamma, a = C.beta, C.alpha, C.gamma, C.a
+
+    def pivot(i0, value):
+        if value == 0 and i0 < n - 1:
+            raise ZeroPivotError(i0 + 1)
+        return value
+
+    mu, x = [pivot(0, beta[0])], [a[-1] / beta[0]]
+    for i0 in range(1, n - 1):
+        mu.append(pivot(i0, beta[i0] - alpha[i0 - 1] / mu[i0 - 1] * gamma[i0 - 1]))
+        e = a[n - 3 - i0] if i0 <= n - 3 else gamma[n - 2]
+        x.append((e - alpha[i0 - 1] * x[i0 - 1]) / mu[i0])
+    mu.append(beta[n - 1] - alpha[n - 2] * x[n - 2])
+    return tuple(mu), tuple(x)
+
+
+def last_row_expansion(C):
+    """det C expanded along the last row.  The (n, j) minor is block
+    triangular: the leading (j-1) x (j-1) continuant times alpha_j ..
+    alpha_{n-1}.  Runs on integers, each row scaled by the lcm r_i of
+    its denominators, and divides by r_1 .. r_n once at the end."""
+    n = C.n
+    last = (*reversed(C.a), C.gamma[-1], C.beta[-1])
+    rows = [(C.beta[i0], C.alpha[i0], *C.gamma[i0 - 1:i0]) for i0 in range(n - 1)] + [last]
+    r = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    z = lambda v, i0: v.numerator * (r[i0] // v.denominator)
+    minors = [1, z(C.beta[0], 0)]
+    for i0 in range(1, n - 1):
+        minors.append(z(C.beta[i0], i0) * minors[-1]
+                      - z(C.alpha[i0 - 1], i0 - 1) * z(C.gamma[i0 - 1], i0) * minors[-2])
+    det, alphas = 0, 1
+    for j0 in range(n - 1, -1, -1):
+        det += (-1) ** (n - 1 + j0) * z(last[j0], n - 1) * minors[j0] * alphas
+        if j0:
+            alphas *= z(C.alpha[j0 - 1], j0 - 1)
+    return F(det, math.prod(r))
+
+
+def band_comrade(n, seed):
+    """Seeded matrix with entries +-p/q, q <= 9, whose band rows are
+    strictly diagonally dominant, so every pivot before mu_n is nonzero."""
+    rng = random.Random(f"band:{n}:{seed}")
+    sign = lambda: rng.choice((-1, 1))
+    small = lambda: F(sign() * rng.randint(1, 4), rng.randint(5, 9))
+    beta = [F(sign() * rng.randint(19, 36), rng.randint(1, 9)) for _ in range(n)]
+    return make_comrade(n, beta, *([small() for _ in range(k)] for k in (n - 1, n - 1, n - 2)))
+
+
+class TestIntegerContinuants:
+    """EXACT factorize and the EXACT and SYMBOLIC determinant run integer
+    continuants.  They must give the Fractions of the recurrences on
+    Fractions, the same ZeroPivotError, and the dense determinant."""
+
+    @staticmethod
+    def check(C):
+        det = dense_det(to_dense(C))
+        assert determinant(C, ScalarMode.SYMBOLIC) == det
+        try:
+            mu, x = fraction_recurrences(C)
+        except ZeroPivotError as want:
+            with pytest.raises(ZeroPivotError) as info:
+                factorize(C, ScalarMode.EXACT)
+            assert (info.value.index, str(info.value)) == (want.index, str(want))
+            return "zero pivot"
+        Ft = factorize(C, ScalarMode.EXACT)
+        assert (Ft.mu, Ft.x, Ft.substitutions) == (mu, x, ())
+        assert determinant(C, ScalarMode.EXACT) == det
+        return "singular" if det == 0 else "regular"
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    @pytest.mark.parametrize("pattern", support.ZERO_PATTERNS)
+    def test_zero_patterns(self, n, pattern):
+        for seed in range(3):
+            self.check(support.zero_patterned_comrade(n, pattern, seed))
+
+    def test_draws_cover_every_outcome(self):
+        outcomes = {self.check(support.zero_patterned_comrade(n, pattern, seed))
+                    for n in range(3, 15) for pattern in support.ZERO_PATTERNS
+                    for seed in range(3)}
+        outcomes |= {self.check(C) for C in (support.SINGULAR4, support.SAMPLE5)}
+        assert outcomes == {"zero pivot", "singular", "regular"}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 33])
+    def test_example33(self, n):
+        assert self.check(example33(n)) == "regular"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_last_row_expansion_matches_dense(self, seed):
+        for n in (3, 4, 7):
+            C = random_comrade(n, seed, zero_pivot_bias=0.5)
+            assert last_row_expansion(C) == dense_det(to_dense(C))
+
+    @pytest.mark.parametrize("C", [example33(2000), band_comrade(1500, 0)],
+                             ids=["example33-2000", "band-1500"])
+    def test_large_n(self, C):
+        det = last_row_expansion(C)
+        assert det != 0
+        assert determinant(C, ScalarMode.EXACT) == det
+        assert determinant(C, ScalarMode.SYMBOLIC) == det

@@ -260,61 +260,6 @@ class TestIntegerRecursion:
         assert symbolic.substitutions == ()
 
 
-#: Zero patterns that make SYMBOLIC substitute t: zero pivots (beta_1 = 0,
-#: a beta that cancels its pivot, or a zero beta under a zero gamma) and
-#: zero interior alphas, alone and together with zero entry families.
-#: "dominant" has integer diagonals and off-diagonals +-1/q, so that in
-#: every row of C diag(c) one entry, a constant or a multiple of t, is far
-#: larger than the others, and some coefficients of the adjugate are close
-#: to the bound the packing width is taken from.
-ZERO_PATTERNS = ("pivots", "alphas and a pivot", "zero gammas", "zero a",
-                 "alpha_{n-1} = 0", "dominant")
-
-
-def zero_patterned_comrade(n, pattern, seed):
-    """Seeded matrix with entries +-p/q, p and q up to 10**6, and up to
-    three zero pivots and three zero interior alphas."""
-    rng = random.Random(f"zeros:{n}:{pattern}:{seed}")
-    sign = lambda: rng.choice((-1, 1))
-    nonzero = lambda: F(sign() * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-    beta, alpha, gamma, a = ([nonzero() for _ in range(k)] for k in (n, n - 1, n - 1, n - 2))
-    if pattern == "dominant":
-        beta = [F(sign() * rng.randint(1, 10 ** 6)) for _ in range(n)]
-        alpha, gamma, a = ([F(sign(), rng.randint(1, 10 ** 6)) for _ in range(k)]
-                           for k in (n - 1, n - 1, n - 2))
-    if pattern == "zero gammas":
-        gamma = [F(0)] * (n - 1)
-    if pattern == "zero a":
-        a = [F(0)] * (n - 2)
-    if pattern == "alpha_{n-1} = 0":
-        alpha[-1] = F(0)
-    if pattern not in ("pivots", "zero gammas"):
-        for j0 in rng.sample(range(n - 2), rng.randint(1, min(3, n - 2))):
-            alpha[j0] = F(0)
-    # a zero pivot next to a zero alpha could empty its row or column
-    rows = [i0 for i0 in range(n - 1) if alpha[i0] != 0 and (i0 == 0 or alpha[i0 - 1] != 0)]
-    pivots = rng.sample(rows, min(rng.randint(1, 3), len(rows)))
-    if pattern == "alphas and a pivot":
-        pivots = pivots[:1]
-    mu = None                                         # the last pivot, if constant
-    for i0 in range(n - 1):
-        if i0 in pivots:
-            if i0 > 0 and mu is not None and rng.random() < 0.5:
-                beta[i0] = alpha[i0 - 1] * gamma[i0 - 1] / mu
-            else:
-                beta[i0] = F(0)
-                if i0 > 0:
-                    gamma[i0 - 1] = F(0)
-            mu = None
-        elif i0 == 0 or gamma[i0 - 1] == 0:
-            mu = beta[i0]
-        elif mu is not None and alpha[i0 - 1] != 0:
-            mu = beta[i0] - alpha[i0 - 1] * gamma[i0 - 1] / mu
-        else:
-            mu = None
-    return make_comrade(n, beta, alpha, gamma, a)
-
-
 def rf_recursion(col_n, col_n1, work):
     """Columns n-2 .. 1 by the column recursion on RationalFunctions."""
     n, w = work.n, ScalarMode.SYMBOLIC.scalar
@@ -357,10 +302,10 @@ class TestPackedSymbolicRecursion:
     RationalFunctions."""
 
     @pytest.mark.parametrize("n", range(3, 15))
-    @pytest.mark.parametrize("pattern", ZERO_PATTERNS)
+    @pytest.mark.parametrize("pattern", support.ZERO_PATTERNS)
     @over_seeds
     def test_matches_oracle(self, n, pattern, seed):
-        C = zero_patterned_comrade(n, pattern, seed)
+        C = support.zero_patterned_comrade(n, pattern, seed)
         if dense_det(to_dense(C)) == 0:
             with pytest.raises(SingularMatrixError):
                 invert(C, ScalarMode.SYMBOLIC)
@@ -374,10 +319,10 @@ class TestPackedSymbolicRecursion:
                 list(zip(*dense_invert(to_dense(M)).rows))
 
     @pytest.mark.parametrize("n", range(3, 9))
-    @pytest.mark.parametrize("pattern", ZERO_PATTERNS)
+    @pytest.mark.parametrize("pattern", support.ZERO_PATTERNS)
     @over_seeds
     def test_matches_rf_recursion(self, n, pattern, seed):
-        C = zero_patterned_comrade(n, pattern, seed)
+        C = support.zero_patterned_comrade(n, pattern, seed)
         if dense_det(to_dense(C)) == 0:
             return
         work, cols = symbolic_columns(C)
@@ -390,10 +335,10 @@ class TestSymbolicInvert:
     and builds no RationalFunction for it."""
 
     @pytest.mark.parametrize("n", range(3, 15))
-    @pytest.mark.parametrize("pattern", ZERO_PATTERNS)
+    @pytest.mark.parametrize("pattern", support.ZERO_PATTERNS)
     @over_seeds
     def test_matches_oracle(self, n, pattern, seed):
-        C = zero_patterned_comrade(n, pattern, seed)
+        C = support.zero_patterned_comrade(n, pattern, seed)
         D = to_dense(C)
         if dense_det(D) == 0:
             with pytest.raises(SingularMatrixError):

@@ -28,9 +28,10 @@ integer and every division by alpha_j is exact, so the loop does integer
 arithmetic with no gcd at all; entry (i, j) of the inverse is the one
 Fraction c_i adj(C')_ij / D, built as each column is finished.
 
-SYMBOLIC mode runs the same integer loop, by Kronecker substitution.
-The entries of M(t) are constants or linear in t (a bumped beta_i + t,
-a substituted alpha_j = t), so with the same column scaling C' =
+SYMBOLIC mode runs the same integer loop, by Kronecker substitution:
+it is the EXACT recursion of M(t), evaluated at t = 2^B.  The entries
+of M(t) are constants or linear in t (a bumped beta_i + t, a
+substituted alpha_j = t), so with the same column scaling C' =
 M(t) diag(c) has entries in Z[t], and D(t) = det C' and every adjugate
 entry are integer polynomials of degree at most k, the number of rows
 that carry t.  Each polynomial p(t) is held as the one integer p(2^B).
@@ -40,33 +41,34 @@ the recursion's numerator is alpha'_j(t) times an adjugate entry in
 Z[t]; so at 2^B it is an exact multiple of the nonzero alpha'_j(2^B),
 and ``//`` returns the packed quotient.  The coefficients are read back
 as balanced base-2^B digits, which is unique while each is below
-2^(B-1) in absolute value.  A minor of C' that lacks one row is a
-signed sum over permutations, so its coefficients are bounded by the
-product of the rows' sums of |coefficient|, all rows but the smallest;
-B is that bound's bit length plus a sign bit.  D(t) comes from the
-first entry of column n (or n-1) as in EXACT mode, by one exact
-division in Q[t].  No polynomial gcd runs inside the loop.  ``invert``
-needs each entry only at t = 0, where it is the Fraction
-c_i adj(C')_ij(0) / D(0): adj(C')_ij(0) is the lowest balanced digit of
-the packed integer, and D(0) = +-det(C) c_1 .. c_n is nonzero because
-``invert`` has already rejected a singular C.  So columns 1 .. n-2 cost
-no RationalFunction at all; only a direct call of ``remaining_columns``
-gets the canonical RationalFunctions c_i adj(C')_ij(t) / D(t), built
-from all the digits.
+2^(B-1) in absolute value.  D(t) and the adjugate entries are signed
+sums over permutations, so their coefficients are bounded by the
+product of all rows' sums of |coefficient|; B is that bound's bit
+length plus a sign bit.  The unit D(2^B) and the two input columns are
+taken, as in EXACT mode, from the values of columns n and n-1 (their
+RationalFunctions at t = 2^B, which the bound on B keeps finite and
+the unit nonzero); nothing is divided in Q[t], and no polynomial gcd
+runs inside the loop.  ``invert`` needs each entry only at t = 0,
+where it is the Fraction c_i adj(C')_ij(0) / D(0): both are the lowest
+balanced digits of the packed integers, and D(0) = +-det(C) c_1 .. c_n
+is nonzero because ``invert`` has already rejected a singular C.  So
+columns 1 .. n-2 cost no RationalFunction at all; only a direct call
+of ``remaining_columns`` gets the canonical RationalFunctions
+c_i adj(C')_ij(t) / D(t), built from all the digits.
 
 FLOAT mode keeps the last two columns but solves columns n-2 .. 1 from
-the LU factors instead (``lu_columns``): in binary64 the recursion runs
-against the dominant solution of its own homogeneous part and amplifies
-rounding by a constant factor per column (about 2.618 on example33),
-while the forward pass over L and the backward pass over U never divide
-by alpha.  Exact arithmetic has no rounding to amplify, so EXACT and
+the LU factors instead (``lu_columns``), and ``remaining_columns``
+refuses it: in binary64 the recursion runs against the dominant
+solution of its own homogeneous part and amplifies rounding by a
+constant factor per column (about 2.618 on example33), while the
+forward pass over L and the backward pass over U never divide by
+alpha.  Exact arithmetic has no rounding to amplify, so EXACT and
 SYMBOLIC keep the paper's recursion.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -94,15 +96,20 @@ class InverseResult:
     op_count: int
 
 
+def _back_substitute_zeros(s, i0, alpha, mu):
+    """Rows i0 .. 0 (0-based) of U s = 0, upwards from s[i0 + 1]:
+    s_i = -alpha_i s_{i+1} / mu_i, 2 field operations each."""
+    for i in range(i0, -1, -1):
+        s[i] = -(alpha[i] * s[i + 1]) / mu[i]
+
+
 def _column_n(F: LUFactors, alpha, ops: OpCounter):
     n = len(F.mu)
     w = F.mode.scalar
     s = [None] * n
     s[n - 1] = w(1) / F.mu[n - 1]
-    ops.tally(1)
-    for i0 in range(n - 2, -1, -1):
-        s[i0] = -(alpha[i0] * s[i0 + 1]) / F.mu[i0]
-        ops.tally(2)
+    _back_substitute_zeros(s, n - 2, alpha, F.mu)
+    ops.tally(1 + 2 * (n - 1))
     return s
 
 
@@ -114,9 +121,8 @@ def _column_n_minus_1(F: LUFactors, alpha, ops: OpCounter):
     ops.tally(1)
     s[n - 2] = (w(1) - alpha[n - 2] * s[n - 1]) / F.mu[n - 2]
     ops.tally(3)
-    for i0 in range(n - 3, -1, -1):
-        s[i0] = -(alpha[i0] * s[i0 + 1]) / F.mu[i0]
-        ops.tally(2)
+    _back_substitute_zeros(s, n - 3, alpha, F.mu)
+    ops.tally(2 * (n - 2))
     return s
 
 
@@ -145,17 +151,16 @@ def _kronecker_packed(C: ComradeMatrix):
     """(c, width, degree, C') for a SYMBOLIC working matrix: C' holds the
     integer polynomials p(t) of C diag(c) as the integers p(2^width).
 
-    Only adjugate entries are ever unpacked.  Each is a minor that lacks
-    one row and is a signed sum over permutations, so its coefficients
-    are at most the product of all row sums of |coefficient| but the
-    smallest in absolute value, and its degree is at most the sum of the
-    rows' largest degrees; width leaves one more bit for the sign."""
+    The unpacked values are D(t) = det C' and its adjugate entries.  Each
+    is a signed sum over permutations, so its coefficients are at most
+    the product of all row sums of |coefficient| in absolute value, and
+    its degree is at most the sum of the rows' largest degrees; width
+    leaves one more bit for the sign."""
     scale, S = integer_scaled(C, _polynomial_coefficients)
     n = C.n
     rows = [(S.beta[i0], S.alpha[i0], *S.gamma[i0 - 1:i0]) for i0 in range(n - 1)]
     rows.append((S.beta[-1], S.gamma[-1], *S.a))
-    row_sum = [sum(abs(c) for cs in row for c in cs) for row in rows]
-    width = math.prod(sorted(row_sum)[1:]).bit_length() + 1
+    width = math.prod(sum(abs(c) for cs in row for c in cs) for row in rows).bit_length() + 1
     degree = sum(max(0, *(len(cs) - 1 for cs in row)) for row in rows)
     return scale, width, degree, replace(S, **{
         name: tuple(_pack(cs, width) for cs in getattr(S, name))
@@ -180,90 +185,80 @@ def _unpack(v: int, width: int, degree: int) -> list:
     return digits
 
 
-def _exact_quotient(p: Polynomial, q: Polynomial) -> list:
-    """Integer coefficients of p / q, which must be exact in Q[t] with a
-    quotient in Z[t]."""
-    quotient, remainder = divmod(p, q)
-    assert remainder.is_zero and all(c.denominator == 1 for c in quotient.coeffs)
-    return [c.numerator for c in quotient.coeffs]
-
-
 def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
                       ops: OpCounter | None = None, *, finalize: bool = False):
     """Columns n-2 down to 1 (returned in that order) via the four-term
-    column recursion.  C must carry the same working entries the first
-    two columns were computed from, including any t-substituted alphas
-    and +t-bumped diagonal.
+    column recursion, in EXACT or SYMBOLIC mode; FLOAT columns come from
+    ``lu_columns``.  C must carry the same working entries the first two
+    columns were computed from, including any t-substituted alphas and
+    +t-bumped diagonal.
 
-    EXACT and SYMBOLIC run the recursion on the integer adjugate columns
-    of C diag(c), SYMBOLIC with its polynomials packed into integers (see
-    the module docstring); the returned Fractions and canonical
-    RationalFunctions are the same as those of the recursion on
-    Fractions and RationalFunctions.  FLOAT (direct calls only; ``invert``
-    solves FLOAT columns with ``lu_columns``) divides floats.
+    The recursion runs on the integer adjugate columns of C diag(c),
+    SYMBOLIC evaluated at t = 2^B (see the module docstring); the
+    returned Fractions and canonical RationalFunctions are the same as
+    those of the recursion on Fractions and RationalFunctions.
 
     With ``finalize`` the entries come back passed through
     ``mode.finalize``: in SYMBOLIC mode the Fractions c_i adj_ij(0) / D(0)
     are read off the packed integers and no RationalFunction is built.
     That needs M(0) = C to be nonsingular (else ZeroDivisionError)."""
+    if mode is ScalarMode.FLOAT:
+        raise ValueError("remaining_columns runs the exact recursion; "
+                         "FLOAT columns come from lu_columns")
     if ops is None:
         ops = OpCounter()
     n = C.n
-    if mode is ScalarMode.FLOAT:
-        w = mode.scalar
-        C = replace(C, **{name: tuple(map(w, getattr(C, name)))
-                          for name in ("beta", "alpha", "gamma", "a")})
-        unit = w(1)
-        divide = operator.truediv
-        output = lambda col: col
+    # at(v): an entry of column n or n-1 as p / q, at t = 2^width in
+    # SYMBOLIC mode; low(col): an output column, at t = 0 in SYMBOLIC mode
+    if mode is ScalarMode.EXACT:
+        scale, C = integer_scaled(C)
+        at, low = lambda v: v.as_integer_ratio(), lambda col: col
     else:
-        if mode is ScalarMode.EXACT:
-            scale, C = integer_scaled(C)
-        else:
-            scale, width, degree, C = _kronecker_packed(C)
-        # the unit D = +-det(C'), from the first entry of inverse column n
-        # or n-1: the (n, 1) and (n-1, 1) minors of C' are triangular, so
-        # adj(C')_{1,n} = +-alpha_1 .. alpha_{n-1} and adj(C')_{1,n-1} =
-        # +-alpha_1 .. alpha_{n-2} beta_n, and S_{1,k} = c_1 adj(C')_{1,k} / D.
-        # Column n of C' is nonzero, so one of the two is; the sign of the
-        # unit cancels from the output.
-        head = math.prod(C.alpha[:n - 2])
-        if C.alpha[n - 2]:
-            adj, first = head * C.alpha[n - 2], col_n[0]
-        else:
-            adj, first = head * C.beta[n - 1], col_n1[0]
-        if mode is ScalarMode.EXACT:
-            unit = scale[0] * adj * first.denominator // first.numerator
-            col_n, col_n1 = ([unit * v.numerator // (v.denominator * c)
-                              for v, c in zip(col, scale)] for col in (col_n, col_n1))
-            output = lambda col: [Fraction(c * v, unit) for c, v in zip(scale, col)]
-        else:
-            # the same in Z[t], evaluated at t = 2^width
-            coeffs = _exact_quotient(
-                Polynomial(_unpack(adj, width, degree)) * (scale[0] * first.den), first.num)
-            unit, det = _pack(coeffs, width), Polynomial(coeffs)
-            col_n, col_n1 = ([_pack(_exact_quotient(det * v.num, v.den * c), width)
-                              for v, c in zip(col, scale)] for col in (col_n, col_n1))
-            if finalize:
-                # adj(0) is the lowest balanced base-2^width digit of v
-                half, mask = 1 << (width - 1), (1 << width) - 1
-                output = lambda col: [Fraction(c * (((v + half) & mask) - half), coeffs[0])
-                                      for c, v in zip(scale, col)]
-            else:
-                output = lambda col: [
-                    RationalFunction(Polynomial([c * d for d in _unpack(v, width, degree)]), det)
-                    for c, v in zip(scale, col)]
-        divide = operator.floordiv                    # exact: adjugate entries are integers
+        scale, width, degree, C = _kronecker_packed(C)
+        point, half, mask = 1 << width, 1 << (width - 1), (1 << width) - 1
+        at = lambda v: (v.num(point) / v.den(point)).as_integer_ratio()
+        low = lambda col: [((v + half) & mask) - half for v in col]   # lowest digits
+    # the unit D = +-det(C'), from the first entry of inverse column n
+    # or n-1: the (n, 1) and (n-1, 1) minors of C' are triangular, so
+    # adj(C')_{1,n} = +-alpha_1 .. alpha_{n-1} and adj(C')_{1,n-1} =
+    # +-alpha_1 .. alpha_{n-2} beta_n, and S_{1,k} = c_1 adj(C')_{1,k} / D.
+    # Column n of C' is nonzero, so one of the two is; the sign of the
+    # unit cancels from the output.
+    head = math.prod(C.alpha[:n - 2])
+    if C.alpha[n - 2]:
+        adj, first = head * C.alpha[n - 2], col_n[0]
+    else:
+        adj, first = head * C.beta[n - 1], col_n1[0]
+    # SYMBOLIC takes each S_{i,k} = c_i adj(C')_{i,k} / D at t = 2^width.
+    # In canonical form S_{i,k} is num / den with den dividing D(t), and
+    # for the first entry num divides c_1 adj(t).  D and adj are nonzero
+    # integer polynomials with every coefficient below 2^(width-1) in
+    # absolute value, so neither vanishes at 2^width: their roots lie
+    # within 1 + max |coefficient / leading coefficient| <= 2^(width-1)
+    # of 0 (Cauchy's bound).  So den(2^width) != 0 and p / q != 0.
+    p, q = at(first)
+    unit = scale[0] * adj * q // p
+    col_n, col_n1 = ([unit * p // (q * c) for (p, q), c in zip(map(at, col), scale)]
+                     for col in (col_n, col_n1))
+    if finalize or mode is ScalarMode.EXACT:
+        d0, = low([unit])
+        output = lambda col: [Fraction(c * v, d0) for c, v in zip(scale, low(col))]
+    else:
+        det = Polynomial(_unpack(unit, width, degree))
+        output = lambda col: [
+            RationalFunction(Polynomial([c * d for d in _unpack(v, width, degree)]), det)
+            for c, v in zip(scale, col)]
 
     cols = []
     prev2, prev1 = col_n, col_n1                      # Col_{j+2}, Col_{j+1}
     for j in range(n - 2, 0, -1):                     # 1-based column index j
         # -beta_{j+1}, -gamma_{j+2}, -a_{n-j} and alpha_j; column n-1 of
-        # the matrix ends in gamma_n, so there is no a-term for j = n-2
+        # the matrix ends in gamma_n, so there is no a-term for j = n-2;
+        # every quotient is exact, since adjugate entries are integers
         b, g, al = -C.beta[j], -C.gamma[j], C.alpha[j - 1]
         f = -C.a[n - j - 3] if j < n - 2 else 0
-        col = [divide(b * u + g * v + f * z, al) for u, v, z in zip(prev1, prev2, col_n)]
-        col[j] = divide(unit + b * prev1[j] + g * prev2[j] + f * col_n[j], al)
+        col = [(b * u + g * v + f * z) // al for u, v, z in zip(prev1, prev2, col_n)]
+        col[j] = (unit + b * prev1[j] + g * prev2[j] + f * col_n[j]) // al
         ops.tally(7 * n if j < n - 2 else 5 * n)
         cols.append(output(col))
         prev2, prev1 = prev1, col
@@ -301,8 +296,7 @@ def lu_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
         s[n - 1] = last / mu[n - 1]
         for i0 in range(n - 2, j0 - 1, -1):
             s[i0] = (s[i0] - alpha[i0] * s[i0 + 1]) / mu[i0]
-        for i0 in range(j0 - 1, -1, -1):
-            s[i0] = -(alpha[i0] * s[i0 + 1]) / mu[i0]
+        _back_substitute_zeros(s, j0 - 1, alpha, mu)
         ops.tally(6 * n - 8 - 4 * j0)
         cols.append(s)
     return cols
@@ -325,18 +319,14 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     """
     n = C.n
     ops = OpCounter()
-    w = mode.scalar
 
-    alpha = [w(v) for v in C.alpha]
-    alpha_subs = []
+    # each phase converts the entries it reads to the mode's scalars
+    work, alpha_subs = C, []
     if mode is ScalarMode.SYMBOLIC:
         # only alpha_1..alpha_{n-2} are ever divided by; alpha_{n-1} stays
-        for j0 in range(n - 2):
-            if alpha[j0] == 0:
-                alpha[j0] = _T
-                alpha_subs.append(Substitution("alpha", j0 + 1))
-    work = ComradeMatrix(n, tuple(w(v) for v in C.beta), tuple(alpha),
-                         tuple(w(v) for v in C.gamma), tuple(w(v) for v in C.a))
+        alpha_subs = [Substitution("alpha", j0 + 1) for j0 in range(n - 2) if C.alpha[j0] == 0]
+        work = replace(C, alpha=tuple(_T if j0 < n - 2 and v == 0 else v
+                                      for j0, v in enumerate(C.alpha)))
 
     F = factorize(work, mode, ops)
     det = pivot_product(F, ops)
@@ -344,7 +334,7 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
         raise SingularMatrixError()
     if mode is not ScalarMode.SYMBOLIC:
         for j0 in range(n - 2):
-            if alpha[j0] == 0:
+            if C.alpha[j0] == 0:
                 raise ZeroPivotError(j0 + 1, what="alpha")
     if F.substitutions:
         work = replace(work, beta=bumped_beta(F, work))

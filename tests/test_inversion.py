@@ -131,6 +131,13 @@ class TestDegenerateHandling:
         assert res.substitutions == ()
         assert res.inverse == dense_invert(to_dense(C))
 
+    def test_remaining_columns_refuses_float(self):
+        # FLOAT solves columns 1..n-2 from the LU factors instead
+        C = example33(5)
+        col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.FLOAT), C)
+        with pytest.raises(ValueError, match="lu_columns"):
+            remaining_columns(col_n, col_n1, C, ScalarMode.FLOAT)
+
 
 class TestInvertProperties:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -88,6 +88,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.n < 3:
+        raise SystemExit(f"bad --n {args.n}: a comrade matrix needs n >= 3")
     if args.family == "example33":
         C = example33(args.n)
     else:
@@ -118,6 +120,8 @@ def _cmd_bench(args) -> int:
             sizes.append(int(chunk))
         except ValueError:
             raise SystemExit(f"bad --sizes entry {chunk!r}")
+        if sizes[-1] < 3:
+            raise SystemExit(f"bad --sizes entry {chunk!r}: a comrade matrix needs n >= 3")
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.writer(out)

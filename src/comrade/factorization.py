@@ -22,7 +22,7 @@ ones and runs no gcd; a zero pivot mu_i shows as D_i = 0.  ``LUFactors``
 keeps (c, D, X) and builds the Fractions mu and x only when they are
 read, so ``determinant`` builds no Fraction but its result.  The
 SYMBOLIC determinant runs the same loop: it never divides, so a zero
-pivot needs no t.
+pivot needs no t, and ``inversion`` takes its unit det C' from it.
 
 In SYMBOLIC mode ``factorize`` replaces an identically-zero pivot by
 the indeterminate t.  Algebraically that is a +t bump of the
@@ -170,10 +170,10 @@ def integer_scaled(C: ComradeMatrix, coefficients=None):
         tuple(map(scaled, gamma, scale)), tuple(map(scaled, a, scale[C.n - 3::-1])))
 
 
-def _continuants(C: ComradeMatrix) -> _ContinuantFactors:
-    """Run the continuant recurrences of the module docstring on C' to the
-    end, through any zero D_i: they never divide."""
-    scale, S = integer_scaled(C)
+def continuants(S: ComradeMatrix):
+    """([D_0, .., D_n], [X_1, .., X_{n-1}]) of the module docstring, on
+    any integer-like S (C' or its Kronecker-packed SYMBOLIC form): run
+    to the end through any zero D_i, since they never divide."""
     beta, alpha, gamma = S.beta, S.alpha, S.gamma
     last = (*reversed(S.a), gamma[-1])              # row n left to right, without beta_n
     d2, d1, x = 1, beta[0], last[0]
@@ -184,7 +184,13 @@ def _continuants(C: ComradeMatrix) -> _ContinuantFactors:
         D.append(d1)
         X.append(x)
     D.append(beta[-1] * d1 - alpha[-1] * x)
-    return _ContinuantFactors(scale, D, X)
+    return D, X
+
+
+def _continuants(C: ComradeMatrix) -> _ContinuantFactors:
+    """``continuants`` of C' = C diag(c), kept with the scales c."""
+    scale, S = integer_scaled(C)
+    return _ContinuantFactors(scale, *continuants(S))
 
 
 def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) -> LUFactors:
@@ -222,21 +228,19 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
                 raise ZeroPivotError(i0 + 1)
         return value
 
+    # row n left to right, without beta_n: e = (a_n, .., a_3, gamma_n)
+    e = (*reversed(a), gamma[-1])
     mu = [None] * n
     x = [None] * (n - 1)
     mu[0] = pivot(0, beta[0])
-    x[0] = a[-1] / mu[0]                                   # x_1 = a_n / mu_1
+    x[0] = e[0] / mu[0]                                    # x_1 = a_n / mu_1
     ops.tally(1)
     for i0 in range(1, n - 1):
-        # mu_i = beta_i - (alpha_{i-1} / mu_{i-1}) * gamma_i
+        # mu_i = beta_i - (alpha_{i-1} / mu_{i-1}) * gamma_i and
+        # x_i = (e_i - alpha_{i-1} x_{i-1}) / mu_i
         mu[i0] = pivot(i0, beta[i0] - (alpha[i0 - 1] / mu[i0 - 1]) * gamma[i0 - 1])
-        ops.tally(3)
-        if i0 <= n - 3:
-            # x_i = (a_{n-i+1} - alpha_{i-1} x_{i-1}) / mu_i; a[k] holds a_{k+3}
-            x[i0] = (a[n - 3 - i0] - alpha[i0 - 1] * x[i0 - 1]) / mu[i0]
-            ops.tally(3)
-    x[n - 2] = (gamma[n - 2] - alpha[n - 3] * x[n - 3]) / mu[n - 2]
-    ops.tally(3)
+        x[i0] = (e[i0] - alpha[i0 - 1] * x[i0 - 1]) / mu[i0]
+        ops.tally(6)
     mu[n - 1] = pivot(n - 1, beta[n - 1] - alpha[n - 2] * x[n - 2])
     ops.tally(2)
     return LUFactors(mode, tuple(mu), tuple(x), tuple(subs))

@@ -23,9 +23,10 @@ EXACT mode runs the same recursion fraction-free (after Bareiss 1968).
 Scaling column k of C by c_k, the lcm of the denominators of its at most
 four entries, gives an integer matrix C' = C diag(c), and the recursion
 is run on the columns of adj(C') = D C'^{-1}, D = det(C') = det(C) c_1 ..
-c_n.  Then the unit E_{j+1} becomes D E_{j+1}, every coefficient is an
-integer and every division by alpha_j is exact, so the loop does integer
-arithmetic with no gcd at all; entry (i, j) of the inverse is the one
+c_n, the last continuant D_n of ``factorization.continuants``.  Then the
+unit E_{j+1} becomes D E_{j+1}, every coefficient is an integer and
+every division by alpha_j is exact, so the loop does integer arithmetic
+with no gcd at all; entry (i, j) of the inverse is the one
 Fraction c_i adj(C')_ij / D, built as each column is finished.
 
 SYMBOLIC mode runs the same integer loop, by Kronecker substitution:
@@ -44,26 +45,27 @@ as balanced base-2^B digits, which is unique while each is below
 2^(B-1) in absolute value.  D(t) and the adjugate entries are signed
 sums over permutations, so their coefficients are bounded by the
 product of all rows' sums of |coefficient|; B is that bound's bit
-length plus a sign bit.  The unit D(2^B) and the two input columns are
-taken, as in EXACT mode, from the values of columns n and n-1 (their
-RationalFunctions at t = 2^B, which the bound on B keeps finite and
-the unit nonzero); nothing is divided in Q[t], and no polynomial gcd
+length plus a sign bit.  The unit D(2^B) is the last continuant of the
+packed C', which the continuant loop computes without dividing, as it
+computes D in EXACT mode; the two input columns are the values of
+columns n and n-1, their RationalFunctions at t = 2^B, which the bound
+on B keeps finite.  Nothing is divided in Q[t], and no polynomial gcd
 runs inside the loop.  ``invert`` needs each entry only at t = 0,
 where it is the Fraction c_i adj(C')_ij(0) / D(0): both are the lowest
-balanced digits of the packed integers, and D(0) = +-det(C) c_1 .. c_n
+balanced digits of the packed integers, and D(0) = det(C) c_1 .. c_n
 is nonzero because ``invert`` has already rejected a singular C.  So
 columns 1 .. n-2 cost no RationalFunction at all; only a direct call
 of ``remaining_columns`` gets the canonical RationalFunctions
 c_i adj(C')_ij(t) / D(t), built from all the digits.
 
-FLOAT mode keeps the last two columns but solves columns n-2 .. 1 from
-the LU factors instead (``lu_columns``), and ``remaining_columns``
-refuses it: in binary64 the recursion runs against the dominant
-solution of its own homogeneous part and amplifies rounding by a
-constant factor per column (about 2.618 on example33), while the
-forward pass over L and the backward pass over U never divide by
-alpha.  Exact arithmetic has no rounding to amplify, so EXACT and
-SYMBOLIC keep the paper's recursion.
+Every solved column is one L-then-U solve, ``_solve_column``: columns
+n and n-1 in every mode, and in FLOAT mode columns n-2 .. 1 as well
+(``lu_columns``), while ``remaining_columns`` refuses FLOAT.  In
+binary64 the recursion runs against the dominant solution of its own
+homogeneous part and amplifies rounding by a constant factor per column
+(about 2.618 on example33), while the forward pass over L and the
+backward pass over U never divide by alpha.  Exact arithmetic has no
+rounding to amplify, so EXACT and SYMBOLIC keep the paper's recursion.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ from fractions import Fraction
 
 from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
                             Substitution, ZeroPivotError, bumped_beta,
-                            factorize, integer_scaled, pivot_product)
+                            continuants, factorize, integer_scaled,
+                            pivot_product)
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
 from .scalars import Polynomial, RationalFunction, ScalarMode
 
@@ -96,46 +99,49 @@ class InverseResult:
     op_count: int
 
 
-def _back_substitute_zeros(s, i0, alpha, mu):
-    """Rows i0 .. 0 (0-based) of U s = 0, upwards from s[i0 + 1]:
-    s_i = -alpha_i s_{i+1} / mu_i, 2 field operations each."""
-    for i in range(i0, -1, -1):
-        s[i] = -(alpha[i] * s[i + 1]) / mu[i]
+def _solve_column(F: LUFactors, alpha, ell, j0: int):
+    """Column j0 + 1 of the inverse from L U s = e_{j0+1} (0-based j0).
 
-
-def _column_n(F: LUFactors, alpha, ops: OpCounter):
+    The forward pass over L starts at the unit entry, the entries above
+    it being zero, and reads ell_k = gamma_{k+1} / mu_k (not for
+    j0 >= n - 2) and the last row x; the backward pass over U is
+    s_i = -alpha_i s_{i+1} / mu_i above row j0 + 1.  Neither divides by
+    alpha."""
     n = len(F.mu)
-    w = F.mode.scalar
-    s = [None] * n
-    s[n - 1] = w(1) / F.mu[n - 1]
-    _back_substitute_zeros(s, n - 2, alpha, F.mu)
-    ops.tally(1 + 2 * (n - 1))
-    return s
-
-
-def _column_n_minus_1(F: LUFactors, alpha, ops: OpCounter):
-    n = len(F.mu)
-    w = F.mode.scalar
-    s = [None] * n
-    s[n - 1] = -F.x[n - 2] / F.mu[n - 1]
-    ops.tally(1)
-    s[n - 2] = (w(1) - alpha[n - 2] * s[n - 1]) / F.mu[n - 2]
-    ops.tally(3)
-    _back_substitute_zeros(s, n - 3, alpha, F.mu)
-    ops.tally(2 * (n - 2))
+    mu, x = F.mu, F.x
+    s = [F.mode.scalar(0)] * n
+    y = last = s[j0] = F.mode.scalar(1)
+    if j0 < n - 1:
+        # y_k = -ell_k y_{k-1}, then y_n = -sum x_k y_k
+        last = -x[j0]
+        for k0 in range(j0 + 1, n - 1):
+            y = -(ell[k0] * y)
+            s[k0] = y
+            last = last - x[k0] * y
+    s[n - 1] = last / mu[n - 1]
+    for i0 in range(n - 2, j0 - 1, -1):
+        s[i0] = (s[i0] - alpha[i0] * s[i0 + 1]) / mu[i0]
+    for i0 in range(j0 - 1, -1, -1):
+        s[i0] = -(alpha[i0] * s[i0 + 1]) / mu[i0]
     return s
 
 
 def last_two_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
-    """Columns n and n-1 of the inverse, as top-to-bottom lists.
+    """Columns n and n-1 of the inverse, as top-to-bottom lists, each one
+    ``_solve_column`` run: 2n - 1 and 2n field operations, every mode.
 
     C must be the matrix F was computed from (same working entries), so
     its superdiagonal is the one sitting along U.
     """
     if ops is None:
         ops = OpCounter()
+    n = C.n
     alpha = [F.mode.scalar(v) for v in C.alpha]
-    return _column_n(F, alpha, ops), _column_n_minus_1(F, alpha, ops)
+    col_n = _solve_column(F, alpha, None, n - 1)
+    ops.tally(2 * n - 1)
+    col_n1 = _solve_column(F, alpha, None, n - 2)
+    ops.tally(2 * n)
+    return col_n, col_n1
 
 
 def _polynomial_coefficients(v):
@@ -193,8 +199,9 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
     columns were computed from, including any t-substituted alphas and
     +t-bumped diagonal.
 
-    The recursion runs on the integer adjugate columns of C diag(c),
-    SYMBOLIC evaluated at t = 2^B (see the module docstring); the
+    The recursion runs on the integer adjugate columns of C' = C diag(c),
+    SYMBOLIC evaluated at t = 2^B (see the module docstring), with the
+    unit det C' from ``factorization.continuants`` on that C'; the
     returned Fractions and canonical RationalFunctions are the same as
     those of the recursion on Fractions and RationalFunctions.
 
@@ -218,26 +225,12 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
         point, half, mask = 1 << width, 1 << (width - 1), (1 << width) - 1
         at = lambda v: (v.num(point) / v.den(point)).as_integer_ratio()
         low = lambda col: [((v + half) & mask) - half for v in col]   # lowest digits
-    # the unit D = +-det(C'), from the first entry of inverse column n
-    # or n-1: the (n, 1) and (n-1, 1) minors of C' are triangular, so
-    # adj(C')_{1,n} = +-alpha_1 .. alpha_{n-1} and adj(C')_{1,n-1} =
-    # +-alpha_1 .. alpha_{n-2} beta_n, and S_{1,k} = c_1 adj(C')_{1,k} / D.
-    # Column n of C' is nonzero, so one of the two is; the sign of the
-    # unit cancels from the output.
-    head = math.prod(C.alpha[:n - 2])
-    if C.alpha[n - 2]:
-        adj, first = head * C.alpha[n - 2], col_n[0]
-    else:
-        adj, first = head * C.beta[n - 1], col_n1[0]
-    # SYMBOLIC takes each S_{i,k} = c_i adj(C')_{i,k} / D at t = 2^width.
-    # In canonical form S_{i,k} is num / den with den dividing D(t), and
-    # for the first entry num divides c_1 adj(t).  D and adj are nonzero
-    # integer polynomials with every coefficient below 2^(width-1) in
-    # absolute value, so neither vanishes at 2^width: their roots lie
-    # within 1 + max |coefficient / leading coefficient| <= 2^(width-1)
-    # of 0 (Cauchy's bound).  So den(2^width) != 0 and p / q != 0.
-    p, q = at(first)
-    unit = scale[0] * adj * q // p
+    # the unit D = det C'.  SYMBOLIC takes each input entry S_{i,k} =
+    # c_i adj(C')_{i,k} / D at t = 2^width: its canonical den divides
+    # D(t), whose coefficients are below 2^(width-1) in absolute value,
+    # so den's roots lie within 2^(width-1) of 0 (Cauchy's bound) and
+    # den(2^width) != 0.
+    unit = continuants(C)[0][-1]
     col_n, col_n1 = ([unit * p // (q * c) for (p, q), c in zip(map(at, col), scale)]
                      for col in (col_n, col_n1))
     if finalize or mode is ScalarMode.EXACT:
@@ -267,38 +260,19 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
 
 def lu_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
     """Columns 1 .. n-2 of the inverse (returned in that order), each
-    solved from L U s = e_j with the factors F of C.
-
-    The forward pass over L starts at the unit entry y_j = 1, since the
-    entries above it are zero; it needs the subdiagonal multipliers
-    gamma_{k+1} / mu_k and the dense last row x.  The backward pass runs
-    over the upper bidiagonal U.  Neither divides by alpha.
-    """
+    solved from L U s = e_j with the factors F of C by ``_solve_column``,
+    as the last two columns are."""
     if ops is None:
         ops = OpCounter()
     n = len(F.mu)
     w = F.mode.scalar
-    mu, x = F.mu, F.x
     alpha = [w(v) for v in C.alpha]
-    ell = [None] + [w(C.gamma[k0 - 1]) / mu[k0 - 1] for k0 in range(1, n - 1)]
+    ell = [None] + [w(C.gamma[k0 - 1]) / F.mu[k0 - 1] for k0 in range(1, n - 1)]
     ops.tally(n - 2)
     cols = []
     for j0 in range(n - 2):
-        # forward: y_j = 1, y_k = -ell_k y_{k-1}, y_n = -sum x_k y_k
-        s = [w(0)] * n
-        y = s[j0] = w(1)
-        last = -x[j0]
-        for k0 in range(j0 + 1, n - 1):
-            y = -(ell[k0] * y)
-            s[k0] = y
-            last = last - x[k0] * y
-        # backward over U, from y_n down to row j, then zeros above it
-        s[n - 1] = last / mu[n - 1]
-        for i0 in range(n - 2, j0 - 1, -1):
-            s[i0] = (s[i0] - alpha[i0] * s[i0 + 1]) / mu[i0]
-        _back_substitute_zeros(s, j0 - 1, alpha, mu)
+        cols.append(_solve_column(F, alpha, ell, j0))
         ops.tally(6 * n - 8 - 4 * j0)
-        cols.append(s)
     return cols
 
 

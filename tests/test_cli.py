@@ -180,6 +180,15 @@ class TestGen:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("family", ["example33", "random"])
+    def test_n_below_3_is_refused(self, capsys, tmp_path, family):
+        out_path = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", family, "--n", "2", "-o", str(out_path)])
+        assert exc.value.code == "bad --n 2: a comrade matrix needs n >= 3"
+        assert not out_path.exists()
+        assert capsys.readouterr() == ("", "")
+
 
 class TestBench:
     def read_csv(self, path):
@@ -216,6 +225,20 @@ class TestBench:
             main(["bench", "--family", "example33", "--sizes", "4,x"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize("sizes", ["2", "4,2", "0", "5,-1"])
+    def test_sizes_below_3_are_refused_before_output(self, capsys, sizes):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--family", "random", "--sizes", sizes])
+        assert exc.value.code.endswith(": a comrade matrix needs n >= 3")
+        assert capsys.readouterr() == ("", "")
+
+    def test_sizes_below_3_write_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit):
+            main(["bench", "--family", "example33", "--sizes", "4,2", "-o", str(out_path)])
+        assert not out_path.exists()
+        capsys.readouterr()
+
 
 class TestEntryPoint:
     def test_python_dash_m(self, comrade_file):
@@ -225,3 +248,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "24"
         assert "note:" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "example33", "--n", "2", "-o"],
+        ["bench", "--family", "random", "--sizes", "2", "-o"]])
+    def test_n_below_3_is_a_one_line_error(self, tmp_path, argv):
+        out_path = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "comrade", *argv, str(out_path)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.endswith(": a comrade matrix needs n >= 3\n")
+        assert proc.stderr.count("\n") == 1
+        assert not out_path.exists()

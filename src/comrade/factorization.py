@@ -18,21 +18,37 @@ X_1 = a'_n, the continuants
 are the leading principal minors of C' and the last-row multipliers
 times them, so mu_i = D_i / (c_i D_{i-1}), x_i = X_i / D_i and
 det C = D_n / (c_1 .. c_n).  The loop multiplies big integers by small
-ones and runs no gcd; a zero pivot mu_i shows as D_i = 0.  ``LUFactors``
-keeps (c, D, X) and builds the Fractions mu and x only when they are
-read, so ``determinant`` builds no Fraction but its result.  The
+ones and runs no gcd; a zero pivot mu_i shows as D_i = 0.  The factors
+keep (c, C', D, X) and build mu and x only when they are read, so
+``determinant`` builds no Fraction but its result, and ``inversion``
+reads the last two columns of the inverse off the same integers.  The
 SYMBOLIC determinant runs the same loop: it never divides, so a zero
-pivot needs no t, and ``inversion`` takes its unit det C' from it.
+pivot needs no t.
 
 In SYMBOLIC mode ``factorize`` replaces an identically-zero pivot by
 the indeterminate t.  Algebraically that is a +t bump of the
 corresponding diagonal entry, i.e. the factors describe a perturbed
 matrix M(t) with M(0) equal to the input; the substitution log records
-which diagonals were bumped.  EXACT and FLOAT modes raise
-``ZeroPivotError`` instead, except for the last pivot: nothing in the
-recurrences divides by mu_n, a zero there just means the matrix is
-singular, and the determinant of a singular matrix is still a perfectly
-good (zero) answer.
+which diagonals were bumped.  It runs the same continuants on
+C' = M(t) diag(c), whose entries are integer polynomials in t (a
+substituted alpha is t), by Kronecker substitution: each polynomial
+p(t) is held as the one integer p(2^B).  Evaluation at 2^B is a ring
+homomorphism, so the loop's sums and products stay exact.  A zero D_i
+becomes c_i 2^B D_{i-1}, the D_i of beta'_i + c_i t, so that
+mu_i = t, and C' keeps the bumped beta'_i.  Each continuant and each
+adjugate entry of C' is a minor, a signed sum over permutations, so its
+coefficients are at most the product of the rows' sums of
+|coefficient| in absolute value; each row's sum counts a c_k for the
+bump it may get, and B is the bound's bit length plus a sign bit.  So
+the coefficients read back as balanced base-2^B digits, and mu and x
+are built from them when read.  The determinant D_n(0) / (c_1 .. c_n)
+takes the lowest digit of D_n.
+
+EXACT and FLOAT modes raise ``ZeroPivotError`` instead, except for the
+last pivot: nothing in the recurrences divides by mu_n, a zero there
+just means the matrix is singular, and the determinant of a singular
+matrix is still a perfectly good (zero) answer.  FLOAT runs the
+recurrences themselves on binary64.
 
 The operation counts, 6n - 9 for the factorization and 7n - 10 for the
 determinant, are the paper's model contract for its recurrences on
@@ -44,16 +60,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .matrix import ComradeMatrix, DenseMatrix
-from .scalars import RationalFunction, ScalarMode
-
-_T = RationalFunction.t()
-
+from .scalars import Polynomial, RationalFunction, ScalarMode
 
 class ZeroPivotError(ArithmeticError):
     """A zero pivot (or zero divisor alpha) in a mode without symbolic rescue."""
@@ -100,8 +113,8 @@ class LUFactors:
     and U; L*U reconstructs the input up to the logged +t diagonal
     bumps.  In EXACT/FLOAT mode ``mu[-1]`` may be zero: that marks a
     singular matrix and blocks inversion, not the determinant.  EXACT
-    factors keep the integer continuants instead and build mu and x
-    from them on first read.
+    and SYMBOLIC factors keep the integer continuants instead and build
+    mu and x from them on first read.
     """
 
     mode: ScalarMode
@@ -119,29 +132,61 @@ class LUFactors:
 
 
 class _ContinuantFactors(LUFactors):
-    """EXACT factors held as the integer data of the module docstring:
-    the column scales c, D = [D_0, .., D_n] and X = [X_1, .., X_{n-1}].
-    mu and x are built from them on first read."""
+    """EXACT and SYMBOLIC factors held as the integer data of the module
+    docstring: the column scales c, C' with its bumped diagonal,
+    D = [D_0, .., D_n] and X = [X_1, .., X_{n-1}], all packed at
+    t = 2^width in SYMBOLIC mode.  mu and x are built from them on first
+    read."""
 
-    def __init__(self, scale, D, X):
+    def __init__(self, mode, substitutions, scale, matrix, D, X, width):
         # frozen: set the fields as cached_property sets mu and x
-        self.__dict__.update(mode=ScalarMode.EXACT, substitutions=(), scale=scale, D=D, X=X)
+        self.__dict__.update(mode=mode, substitutions=substitutions, scale=scale,
+                             matrix=matrix, D=D, X=X, width=width)
+
+    def _polynomial(self, v, c=1):
+        """c times the packed polynomial v.  The digits are read first:
+        c times a digit can exceed the bound the width is taken from."""
+        return Polynomial([c * d for d in _unpack(v, self.width)])
 
     @cached_property
     def mu(self):
         # mu_i = D_i / (c_i D_{i-1})
-        return tuple(map(Fraction, self.D[1:], map(operator.mul, self.scale, self.D)))
+        if self.mode is ScalarMode.EXACT:
+            return tuple(map(Fraction, self.D[1:], map(operator.mul, self.scale, self.D)))
+        p = self._polynomial
+        return tuple(RationalFunction(p(d), p(d0, c))
+                     for d, d0, c in zip(self.D[1:], self.D, self.scale))
 
     @cached_property
     def x(self):
-        return tuple(map(Fraction, self.X, self.D[1:]))
+        if self.mode is ScalarMode.EXACT:
+            return tuple(map(Fraction, self.X, self.D[1:]))
+        p = self._polynomial
+        return tuple(RationalFunction(p(x), p(d)) for x, d in zip(self.X, self.D[1:]))
 
     @property
     def n(self) -> int:
         return len(self.scale)
 
     def pivot_product(self):
-        return Fraction(self.D[-1], math.prod(self.scale))
+        d = self.D[-1]
+        if self.mode is ScalarMode.SYMBOLIC:
+            d = _unpack(d, self.width)[0]
+        return Fraction(d, math.prod(self.scale))
+
+    def column(self, adj, at_zero: bool = False) -> list:
+        """The column c_i adj_i / D_n of the inverse, for a column adj of
+        adj(C'): Fractions, or in SYMBOLIC mode the canonical
+        RationalFunctions of the inverse of M(t), or with ``at_zero``
+        their values at t = 0, read off the lowest digits."""
+        scale, d = self.scale, self.D[-1]
+        if self.mode is ScalarMode.SYMBOLIC and not at_zero:
+            det = self._polynomial(d)
+            return [RationalFunction(self._polynomial(v, c), det) for c, v in zip(scale, adj)]
+        if self.mode is ScalarMode.SYMBOLIC:            # t = 0: the lowest balanced digits
+            half, mask = 1 << (self.width - 1), (1 << self.width) - 1
+            d, *adj = (((v + half) & mask) - half for v in (d, *adj))
+        return [Fraction(c * v, d) for c, v in zip(scale, adj)]
 
 
 def integer_scaled(C: ComradeMatrix, coefficients=None):
@@ -170,89 +215,125 @@ def integer_scaled(C: ComradeMatrix, coefficients=None):
         tuple(map(scaled, gamma, scale)), tuple(map(scaled, a, scale[C.n - 3::-1])))
 
 
-def continuants(S: ComradeMatrix):
-    """([D_0, .., D_n], [X_1, .., X_{n-1}]) of the module docstring, on
-    any integer-like S (C' or its Kronecker-packed SYMBOLIC form): run
-    to the end through any zero D_i, since they never divide."""
+def _polynomial_coefficients(v):
+    """Coefficients of a SYMBOLIC working entry, which is a polynomial in t."""
+    if not isinstance(v, RationalFunction):
+        return (Fraction(v),)
+    if v.den != 1:
+        raise ValueError(f"working entry {v} is not a polynomial in t")
+    return v.num.coeffs
+
+
+def _unpack(v: int, width: int) -> list:
+    """Coefficients of the packed polynomial v, lowest first, as balanced
+    digits in [-2^(width-1), 2^(width-1))."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    while v:
+        d = ((v + half) & mask) - half
+        digits.append(d)
+        v = (v - d) >> width
+    return digits
+
+
+def continuants(S: ComradeMatrix, bump=None):
+    """([D_0, .., D_n], [X_1, .., X_{n-1}], zeros) of the module
+    docstring, on any integer-like S (C' or its Kronecker-packed
+    SYMBOLIC form), with zeros the indices i of the zero D_i.  Without
+    ``bump`` the loop runs to the end through any zero D_i, since they
+    never divide; with it, a zero D_i becomes bump[i-1] D_{i-1}."""
     beta, alpha, gamma = S.beta, S.alpha, S.gamma
     last = (*reversed(S.a), gamma[-1])              # row n left to right, without beta_n
-    d2, d1, x = 1, beta[0], last[0]
-    D, X = [1, d1], [x]
-    for b, al, ag, e in zip(beta[1:-1], alpha, map(operator.mul, alpha, gamma), last[1:]):
+    bump = bump or (0,) * S.n
+    d2, d1, x = 0, 1, 0
+    D, X, zeros = [1], [], []
+    for b, al, ag, e, s in zip(beta, (0, *alpha), (0, *map(operator.mul, alpha, gamma)),
+                               last, bump):
         # D_i, and X_i with e = a'_{n-i+1} (gamma'_n for i = n - 1)
         d2, d1, x = d1, b * d1 - ag * d2, e * d1 - al * x
+        if not d1:
+            zeros.append(len(D))
+            d1 = s * d2
         D.append(d1)
         X.append(x)
-    D.append(beta[-1] * d1 - alpha[-1] * x)
-    return D, X
+    d = beta[-1] * d1 - alpha[-1] * x
+    if not d:
+        zeros.append(len(D))
+        d = bump[-1] * d1
+    D.append(d)
+    return D, X, zeros
 
 
-def _continuants(C: ComradeMatrix) -> _ContinuantFactors:
-    """``continuants`` of C' = C diag(c), kept with the scales c."""
-    scale, S = integer_scaled(C)
-    return _ContinuantFactors(scale, *continuants(S))
+def continuant_factors(C: ComradeMatrix, mode: ScalarMode) -> _ContinuantFactors:
+    """The factors of C' = C diag(c) as its continuants: on integers in
+    EXACT mode.  In SYMBOLIC mode C' holds the integer polynomials p(t)
+    of C diag(c) as the integers p(2^width), with the width of the module
+    docstring, and each zero D_i is bumped by c_i t and logged as a pivot
+    substitution."""
+    if mode is ScalarMode.EXACT:
+        scale, S = integer_scaled(C)
+        D, X, _ = continuants(S)
+        return _ContinuantFactors(mode, (), scale, S, D, X, 0)
+    scale, S = integer_scaled(C, _polynomial_coefficients)
+    rows = [(S.beta[i0], S.alpha[i0], *S.gamma[i0 - 1:i0]) for i0 in range(C.n - 1)]
+    rows.append((S.beta[-1], S.gamma[-1], *S.a))
+    bound = math.prod(c + sum(abs(v) for cs in row for v in cs) for c, row in zip(scale, rows))
+    width = bound.bit_length() + 1
+    pack = lambda cs: sum(v << (width * k) for k, v in enumerate(cs))
+    S = replace(S, **{name: tuple(map(pack, getattr(S, name)))
+                      for name in ("beta", "alpha", "gamma", "a")})
+    bump = [c << width for c in scale]                  # c_i t at t = 2^width
+    D, X, zeros = continuants(S, bump)
+    beta = list(S.beta)
+    for i in zeros:
+        beta[i - 1] += bump[i - 1]
+    return _ContinuantFactors(mode, tuple(Substitution("pivot", i) for i in zeros), scale,
+                              replace(S, beta=tuple(beta)), D, X, width)
 
 
 def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) -> LUFactors:
     """Run the pivot and last-row recurrences in the given mode.
 
     Cost: 6n - 9 field operations when no substitution fires.  That is
-    the paper's count, tallied in every mode; EXACT runs the recurrences
-    as integer continuants (see the module docstring).
+    the paper's count, tallied in every mode; EXACT and SYMBOLIC run the
+    recurrences as integer continuants (see the module docstring).
     """
     n = C.n
     if ops is None:
         ops = OpCounter()
-    if mode is ScalarMode.EXACT:
-        F = _continuants(C)
-        if 0 in F.D[1:n]:                                # mu_i = 0 for some i < n
+    if mode is not ScalarMode.FLOAT:
+        F = continuant_factors(C, mode)
+        if mode is ScalarMode.EXACT and 0 in F.D[1:n]:  # mu_i = 0 for some i < n
             i = F.D.index(0, 1)
             ops.tally(max(6 * i - 11, 0))                # the recurrences before mu_i
             raise ZeroPivotError(i)
         ops.tally(6 * n - 9)
         return F
-    w = mode.scalar
-    beta = [w(v) for v in C.beta]
-    alpha = [w(v) for v in C.alpha]
-    gamma = [w(v) for v in C.gamma]
-    a = [w(v) for v in C.a]
-    symbolic = mode is ScalarMode.SYMBOLIC
-    subs = []
-
-    def pivot(i0, value):
-        if value == 0:
-            if symbolic:
-                subs.append(Substitution("pivot", i0 + 1))
-                return _T
-            if i0 < n - 1:
-                raise ZeroPivotError(i0 + 1)
-        return value
-
+    beta, alpha, gamma, a = ([float(v) for v in getattr(C, name)]
+                             for name in ("beta", "alpha", "gamma", "a"))
     # row n left to right, without beta_n: e = (a_n, .., a_3, gamma_n)
     e = (*reversed(a), gamma[-1])
-    mu = [None] * n
-    x = [None] * (n - 1)
-    mu[0] = pivot(0, beta[0])
-    x[0] = e[0] / mu[0]                                    # x_1 = a_n / mu_1
-    ops.tally(1)
-    for i0 in range(1, n - 1):
-        # mu_i = beta_i - (alpha_{i-1} / mu_{i-1}) * gamma_i and
-        # x_i = (e_i - alpha_{i-1} x_{i-1}) / mu_i
-        mu[i0] = pivot(i0, beta[i0] - (alpha[i0 - 1] / mu[i0 - 1]) * gamma[i0 - 1])
-        x[i0] = (e[i0] - alpha[i0 - 1] * x[i0 - 1]) / mu[i0]
-        ops.tally(6)
-    mu[n - 1] = pivot(n - 1, beta[n - 1] - alpha[n - 2] * x[n - 2])
-    ops.tally(2)
-    return LUFactors(mode, tuple(mu), tuple(x), tuple(subs))
+    mu, x = [beta[0]], []
+    for i0 in range(n - 1):
+        if mu[i0] == 0:                                  # mu_i = 0 for some i < n
+            ops.tally(max(6 * i0 - 5, 0))                # the recurrences before mu_i
+            raise ZeroPivotError(i0 + 1)
+        # x_i = (e_i - alpha_{i-1} x_{i-1}) / mu_i, then mu_{i+1} =
+        # beta_{i+1} - (alpha_i / mu_i) gamma_{i+1}, or for i = n - 1
+        # mu_n = beta_n - alpha_{n-1} x_{n-1}
+        x.append((e[i0] - alpha[i0 - 1] * x[-1] if i0 else e[0]) / mu[i0])
+        mu.append(beta[i0 + 1] - (alpha[i0] / mu[i0]) * gamma[i0] if i0 < n - 2
+                  else beta[-1] - alpha[-1] * x[-1])
+    ops.tally(6 * n - 9)
+    return LUFactors(mode, tuple(mu), tuple(x), ())
 
 
 def pivot_product(F: LUFactors, ops: OpCounter):
     """The determinant mu_1 * ... * mu_n, n - 1 field operations.
 
-    In SYMBOLIC mode the product reduces to a polynomial in t and is
-    evaluated at t = 0, which is exactly the determinant of the
-    unperturbed matrix; singular inputs therefore give exactly 0.
-    EXACT factors give D_n / (c_1 .. c_n) instead, the same Fraction.
+    EXACT and SYMBOLIC factors give D_n(0) / (c_1 .. c_n): in SYMBOLIC
+    mode that is the product at t = 0, exactly the determinant of the
+    unperturbed matrix, so singular inputs give exactly 0.
     """
     ops.tally(F.n - 1)
     return F.pivot_product()
@@ -271,7 +352,7 @@ def determinant(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None
         ops = OpCounter()
     if mode is ScalarMode.SYMBOLIC:
         ops.tally(7 * C.n - 10)
-        return _continuants(C).pivot_product()
+        return continuant_factors(C, ScalarMode.EXACT).pivot_product()
     det = pivot_product(factorize(C, mode, ops), ops)
     if mode is ScalarMode.FLOAT and not math.isfinite(det):
         raise NonFiniteResultError("determinant")
@@ -285,7 +366,7 @@ def bumped_beta(F: LUFactors, C: ComradeMatrix) -> tuple:
     beta = [w(v) for v in C.beta]
     for kind, index in F.substitutions:
         if kind == "pivot":
-            beta[index - 1] = beta[index - 1] + _T
+            beta[index - 1] = beta[index - 1] + RationalFunction.t()
     return tuple(beta)
 
 

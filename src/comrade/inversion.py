@@ -1,11 +1,9 @@
 """Inverse of a comrade matrix from its factorization, in O(n^2) ops.
 
-Column order is the whole trick.  Columns n and n-1 fall out of
-back-substitution against the factors (the corresponding right-hand
-sides after the forward pass are just (0,..,0,1) and (0,..,1,-x_{n-1})).
-Every earlier column j then follows from columns j+1, j+2 and n because
-column j+1 of the matrix has at most four structural nonzeros, which is
-the identity S*C = I read one column at a time:
+Column order is the whole trick.  Columns n and n-1 come straight from
+the factors.  Every earlier column j then follows from columns j+1, j+2
+and n because column j+1 of the matrix has at most four structural
+nonzeros, which is the identity S*C = I read one column at a time:
 
     alpha_j Col_j + beta_{j+1} Col_{j+1} + gamma_{j+2} Col_{j+2}
         + a_{n-j} Col_n = E_{j+1}
@@ -13,59 +11,43 @@ the identity S*C = I read one column at a time:
 (the a-term drops out for j = n-2).  The recursion divides by alpha_j,
 so in SYMBOLIC mode any exactly-zero alpha_1..alpha_{n-2} is replaced by
 t *before* factorization, and the recursion uses the +t-bumped diagonal
-recorded by the factorization, so all recurrences are identities of one
+that the factorization finds, so all recurrences are identities of one
 coherent perturbed matrix M(t) with M(0) equal to the input.  Evaluating
 at t = 0 then recovers the exact inverse; for a nonsingular input the
 reduced entries provably have no pole at t = 0 (their denominators
 divide det M(t), a polynomial that is det(C) != 0 at t = 0).
 
-EXACT mode runs the same recursion fraction-free (after Bareiss 1968).
-Scaling column k of C by c_k, the lcm of the denominators of its at most
-four entries, gives an integer matrix C' = C diag(c), and the recursion
-is run on the columns of adj(C') = D C'^{-1}, D = det(C') = det(C) c_1 ..
-c_n, the last continuant D_n of ``factorization.continuants``.  Then the
-unit E_{j+1} becomes D E_{j+1}, every coefficient is an integer and
-every division by alpha_j is exact, so the loop does integer arithmetic
-with no gcd at all; entry (i, j) of the inverse is the one
-Fraction c_i adj(C')_ij / D, built as each column is finished.
+EXACT and SYMBOLIC read the integer data of ``factorization``: the
+scaled matrix C' = C diag(c) (M(t) diag(c), packed at t = 2^B, in
+SYMBOLIC mode) and its continuants D_i, X_i, with D_n = det C'.  Entry
+(i, j) of the inverse is c_i adj(C')_ij / D_n.  The minors behind the
+last two columns of adj(C') are block triangular (cf. Usmani 1994), so
+with P_i = D_{i-1} (-alpha'_i) .. (-alpha'_{n-2}) for i < n
 
-SYMBOLIC mode runs the same integer loop, by Kronecker substitution:
-it is the EXACT recursion of M(t), evaluated at t = 2^B.  The entries
-of M(t) are constants or linear in t (a bumped beta_i + t, a
-substituted alpha_j = t), so with the same column scaling C' =
-M(t) diag(c) has entries in Z[t], and D(t) = det C' and every adjugate
-entry are integer polynomials of degree at most k, the number of rows
-that carry t.  Each polynomial p(t) is held as the one integer p(2^B).
-Evaluation at 2^B is a ring homomorphism, so the loop's sums and
-products stay exact.  Each divisor alpha'_j is an integer or c t, and
-the recursion's numerator is alpha'_j(t) times an adjugate entry in
-Z[t]; so at 2^B it is an exact multiple of the nonzero alpha'_j(2^B),
-and ``//`` returns the packed quotient.  The coefficients are read back
-as balanced base-2^B digits, which is unique while each is below
-2^(B-1) in absolute value.  D(t) and the adjugate entries are signed
-sums over permutations, so their coefficients are bounded by the
-product of all rows' sums of |coefficient|; B is that bound's bit
-length plus a sign bit.  The unit D(2^B) is the last continuant of the
-packed C', which the continuant loop computes without dividing, as it
-computes D in EXACT mode; the two input columns are the values of
-columns n and n-1, their RationalFunctions at t = 2^B, which the bound
-on B keeps finite.  Nothing is divided in Q[t], and no polynomial gcd
-runs inside the loop.  ``invert`` needs each entry only at t = 0,
-where it is the Fraction c_i adj(C')_ij(0) / D(0): both are the lowest
-balanced digits of the packed integers, and D(0) = det(C) c_1 .. c_n
-is nonzero because ``invert`` has already rejected a singular C.  So
-columns 1 .. n-2 cost no RationalFunction at all; only a direct call
-of ``remaining_columns`` gets the canonical RationalFunctions
-c_i adj(C')_ij(t) / D(t), built from all the digits.
+    adj(C')_{i,n}   = -alpha'_{n-1} P_i,    adj(C')_{n,n}   = D_{n-1},
+    adj(C')_{i,n-1} = beta'_n P_i,          adj(C')_{n,n-1} = -X_{n-1}.
 
-Every solved column is one L-then-U solve, ``_solve_column``: columns
-n and n-1 in every mode, and in FLOAT mode columns n-2 .. 1 as well
-(``lu_columns``), while ``remaining_columns`` refuses FLOAT.  In
-binary64 the recursion runs against the dominant solution of its own
-homogeneous part and amplifies rounding by a constant factor per column
-(about 2.618 on example33), while the forward pass over L and the
-backward pass over U never divide by alpha.  Exact arithmetic has no
-rounding to amplify, so EXACT and SYMBOLIC keep the paper's recursion.
+The recursion runs fraction-free (after Bareiss 1968) on the columns of
+adj(C') = D_n C'^{-1}, with the unit D_n E_{j+1}: every coefficient is
+an integer and every division by alpha'_j is exact, so the loop runs no
+gcd.  In SYMBOLIC mode alpha'_j is an integer or c t and the numerator
+is alpha'_j(t) times an adjugate entry in Z[t], so at t = 2^B too
+``//`` returns the exact packed quotient; nothing is divided in Q[t].
+``invert`` needs columns 1 .. n-2 only at t = 0, where entry (i, j) is
+the Fraction c_i adj(C')_ij(0) / D_n(0) of the lowest balanced digits;
+D_n(0) = det(C) c_1 .. c_n is nonzero because ``invert`` has already
+rejected a singular C.  Only the last two columns, and a direct call of
+``remaining_columns``, build the canonical RationalFunctions
+c_i adj(C')_ij(t) / D_n(t) from all the digits.
+
+FLOAT solves every column from the LU factors, ``_solve_column``:
+columns n and n-1, and columns n-2 .. 1 as well (``lu_columns``), while
+``remaining_columns`` refuses FLOAT.  In binary64 the recursion runs
+against the dominant solution of its own homogeneous part and amplifies
+rounding by a constant factor per column (about 2.618 on example33),
+while the forward pass over L and the backward pass over U never divide
+by alpha.  Exact arithmetic has no rounding to amplify, so EXACT and
+SYMBOLIC keep the paper's recursion.
 """
 
 from __future__ import annotations
@@ -75,11 +57,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
-                            Substitution, ZeroPivotError, bumped_beta,
-                            continuants, factorize, integer_scaled,
-                            pivot_product)
+                            Substitution, ZeroPivotError, continuant_factors,
+                            factorize, pivot_product)
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
-from .scalars import Polynomial, RationalFunction, ScalarMode
+from .scalars import RationalFunction, ScalarMode
 
 _T = RationalFunction.t()
 
@@ -126,69 +107,47 @@ def _solve_column(F: LUFactors, alpha, ell, j0: int):
     return s
 
 
-def last_two_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
-    """Columns n and n-1 of the inverse, as top-to-bottom lists, each one
-    ``_solve_column`` run: 2n - 1 and 2n field operations, every mode.
+def _adjugate_last_two(F: LUFactors):
+    """Columns n and n-1 of adj(C'), in closed form from the continuants
+    of F (see the module docstring)."""
+    S, D = F.matrix, F.D
+    n = F.n
+    # the suffix products (-alpha'_i) .. (-alpha'_{n-2}), i = n-1 down to 1
+    suffix = [1]
+    for al in S.alpha[n - 3::-1]:
+        suffix.append(-al * suffix[-1])
+    P = [d * s for d, s in zip(D, reversed(suffix))]    # P_1 .. P_{n-1}
+    al, b = S.alpha[-1], S.beta[-1]
+    return [-al * p for p in P] + [D[n - 1]], [b * p for p in P] + [-F.X[-1]]
 
-    C must be the matrix F was computed from (same working entries), so
-    its superdiagonal is the one sitting along U.
+
+def last_two_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
+    """Columns n and n-1 of the inverse, as top-to-bottom lists: 2n - 1
+    and 2n field operations, every mode.
+
+    EXACT and SYMBOLIC read them off the continuants of F in closed form
+    (see the module docstring).  FLOAT runs ``_solve_column`` for each,
+    so there C must be the matrix F was computed from (same working
+    entries): its superdiagonal is the one sitting along U.
     """
     if ops is None:
         ops = OpCounter()
-    n = C.n
-    alpha = [F.mode.scalar(v) for v in C.alpha]
-    col_n = _solve_column(F, alpha, None, n - 1)
-    ops.tally(2 * n - 1)
-    col_n1 = _solve_column(F, alpha, None, n - 2)
-    ops.tally(2 * n)
-    return col_n, col_n1
+    n = F.n
+    if F.mode is ScalarMode.FLOAT:
+        alpha = [float(v) for v in C.alpha]
+        columns = _solve_column(F, alpha, None, n - 1), _solve_column(F, alpha, None, n - 2)
+    else:
+        columns = tuple(map(F.column, _adjugate_last_two(F)))
+    ops.tally(4 * n - 1)
+    return columns
 
 
-def _polynomial_coefficients(v):
-    """Coefficients of a SYMBOLIC working entry, which is a polynomial in t."""
-    if not isinstance(v, RationalFunction):
-        return (Fraction(v),)
-    if v.den != 1:
-        raise ValueError(f"working entry {v} is not a polynomial in t")
-    return v.num.coeffs
-
-
-def _kronecker_packed(C: ComradeMatrix):
-    """(c, width, degree, C') for a SYMBOLIC working matrix: C' holds the
-    integer polynomials p(t) of C diag(c) as the integers p(2^width).
-
-    The unpacked values are D(t) = det C' and its adjugate entries.  Each
-    is a signed sum over permutations, so its coefficients are at most
-    the product of all row sums of |coefficient| in absolute value, and
-    its degree is at most the sum of the rows' largest degrees; width
-    leaves one more bit for the sign."""
-    scale, S = integer_scaled(C, _polynomial_coefficients)
-    n = C.n
-    rows = [(S.beta[i0], S.alpha[i0], *S.gamma[i0 - 1:i0]) for i0 in range(n - 1)]
-    rows.append((S.beta[-1], S.gamma[-1], *S.a))
-    width = math.prod(sum(abs(c) for cs in row for c in cs) for row in rows).bit_length() + 1
-    degree = sum(max(0, *(len(cs) - 1 for cs in row)) for row in rows)
-    return scale, width, degree, replace(S, **{
-        name: tuple(_pack(cs, width) for cs in getattr(S, name))
-        for name in ("beta", "alpha", "gamma", "a")})
-
-
-def _pack(coefficients, width: int) -> int:
-    """The integer polynomial with these coefficients at t = 2^width."""
-    return sum(c << (width * k) for k, c in enumerate(coefficients))
-
-
-def _unpack(v: int, width: int, degree: int) -> list:
-    """Coefficients of the packed polynomial v of at most this degree, as
-    balanced digits in [-2^(width-1), 2^(width-1))."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    digits = []
-    for _ in range(degree + 1):
-        d = ((v + half) & mask) - half
-        digits.append(d)
-        v = (v - d) >> width
-    assert v == 0, "packed polynomial exceeds its degree or coefficient bound"
-    return digits
+def _refuse_zero_alpha(C: ComradeMatrix):
+    """ZeroPivotError for the lowest j <= n - 2 with alpha_j = 0, which
+    the column recursion would divide by."""
+    for j0 in range(C.n - 2):
+        if C.alpha[j0] == 0:
+            raise ZeroPivotError(j0 + 1, what="alpha")
 
 
 def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
@@ -196,14 +155,14 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
     """Columns n-2 down to 1 (returned in that order) via the four-term
     column recursion, in EXACT or SYMBOLIC mode; FLOAT columns come from
     ``lu_columns``.  C must carry the same working entries the first two
-    columns were computed from, including any t-substituted alphas and
-    +t-bumped diagonal.
+    columns were computed from, including any t-substituted alphas; the
+    +t bumps of the diagonal are found again if C does not carry them.
+    EXACT raises ZeroPivotError at a zero alpha_j, j <= n-2.
 
-    The recursion runs on the integer adjugate columns of C' = C diag(c),
-    SYMBOLIC evaluated at t = 2^B (see the module docstring), with the
-    unit det C' from ``factorization.continuants`` on that C'; the
-    returned Fractions and canonical RationalFunctions are the same as
-    those of the recursion on Fractions and RationalFunctions.
+    The recursion runs on the adjugate columns of the integer (packed)
+    C' of ``factorization.continuant_factors`` (see the module
+    docstring); the returned Fractions and canonical RationalFunctions
+    are those of the recursion on Fractions and RationalFunctions.
 
     With ``finalize`` the entries come back passed through
     ``mode.finalize``: in SYMBOLIC mode the Fractions c_i adj_ij(0) / D(0)
@@ -215,32 +174,23 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
     if ops is None:
         ops = OpCounter()
     n = C.n
-    # at(v): an entry of column n or n-1 as p / q, at t = 2^width in
-    # SYMBOLIC mode; low(col): an output column, at t = 0 in SYMBOLIC mode
     if mode is ScalarMode.EXACT:
-        scale, C = integer_scaled(C)
-        at, low = lambda v: v.as_integer_ratio(), lambda col: col
-    else:
-        scale, width, degree, C = _kronecker_packed(C)
-        point, half, mask = 1 << width, 1 << (width - 1), (1 << width) - 1
-        at = lambda v: (v.num(point) / v.den(point)).as_integer_ratio()
-        low = lambda col: [((v + half) & mask) - half for v in col]   # lowest digits
-    # the unit D = det C'.  SYMBOLIC takes each input entry S_{i,k} =
-    # c_i adj(C')_{i,k} / D at t = 2^width: its canonical den divides
-    # D(t), whose coefficients are below 2^(width-1) in absolute value,
-    # so den's roots lie within 2^(width-1) of 0 (Cauchy's bound) and
+        _refuse_zero_alpha(C)
+    F = continuant_factors(C, mode)
+    scale, C, unit = F.scale, F.matrix, F.D[-1]
+    # at(v): an entry of column n or n-1 as p / q, at t = 2^width in
+    # SYMBOLIC mode.  There each input entry S_{i,k} = c_i adj(C')_{i,k}
+    # / D is a canonical RationalFunction whose den divides D(t), whose
+    # coefficients are below 2^(width-1) in absolute value, so den's
+    # roots lie within 2^(width-1) of 0 (Cauchy's bound) and
     # den(2^width) != 0.
-    unit = continuants(C)[0][-1]
+    if mode is ScalarMode.EXACT:
+        at = lambda v: v.as_integer_ratio()
+    else:
+        point = 1 << F.width
+        at = lambda v: (v.num(point) / v.den(point)).as_integer_ratio()
     col_n, col_n1 = ([unit * p // (q * c) for (p, q), c in zip(map(at, col), scale)]
                      for col in (col_n, col_n1))
-    if finalize or mode is ScalarMode.EXACT:
-        d0, = low([unit])
-        output = lambda col: [Fraction(c * v, d0) for c, v in zip(scale, low(col))]
-    else:
-        det = Polynomial(_unpack(unit, width, degree))
-        output = lambda col: [
-            RationalFunction(Polynomial([c * d for d in _unpack(v, width, degree)]), det)
-            for c, v in zip(scale, col)]
 
     cols = []
     prev2, prev1 = col_n, col_n1                      # Col_{j+2}, Col_{j+1}
@@ -253,7 +203,7 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
         col = [(b * u + g * v + f * z) // al for u, v, z in zip(prev1, prev2, col_n)]
         col[j] = (unit + b * prev1[j] + g * prev2[j] + f * col_n[j]) // al
         ops.tally(7 * n if j < n - 2 else 5 * n)
-        cols.append(output(col))
+        cols.append(F.column(col, at_zero=finalize))
         prev2, prev1 = prev1, col
     return cols
 
@@ -307,11 +257,7 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     if det == 0:
         raise SingularMatrixError()
     if mode is not ScalarMode.SYMBOLIC:
-        for j0 in range(n - 2):
-            if C.alpha[j0] == 0:
-                raise ZeroPivotError(j0 + 1, what="alpha")
-    if F.substitutions:
-        work = replace(work, beta=bumped_beta(F, work))
+        _refuse_zero_alpha(C)
 
     col_n, col_n1 = last_two_columns(F, work, ops)
     if mode is ScalarMode.FLOAT:

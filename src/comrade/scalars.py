@@ -18,14 +18,8 @@ Representation invariants:
   eagerly after every operation, so structural equality is field
   equality.
 
-Reduction runs ``poly_gcd`` only where the result is not canonical by
-construction (Knuth, TAOCP vol. 2, 4.5.1: skip a gcd known in advance).
-The constructor skips it when num or den is a constant, since the gcd
-is then 1.  For canonical f = N/D with D monic, a polynomial P and a
-nonzero constant c, these are canonical as built: -f = (-N)/D and
-f +- P = (N +- P D)/D, because gcd(N +- P D, D) = gcd(N, D) = 1; f c =
-(c N)/D and f / c = (N / c)/D, because a unit changes no gcd; and
-c / f = (c D / n)/(N / n), where n is the leading coefficient of N.
+The constructor skips ``poly_gcd`` when num or den is a constant, since
+the gcd is then 1.
 """
 
 from __future__ import annotations
@@ -260,14 +254,6 @@ class RationalFunction:
         self.num, self.den = num, den
 
     @classmethod
-    def _canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """num/den with no reduction, for a pair known to be canonical;
-        a zero num still gives 0/1."""
-        f = object.__new__(cls)
-        f.num, f.den = num, den if num.coeffs else _ONE
-        return f
-
-    @classmethod
     def t(cls) -> "RationalFunction":
         """The indeterminate t."""
         return cls(POLY_T)
@@ -276,35 +262,24 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def _is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     def _coerced(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if isinstance(other, Polynomial):
-            return RationalFunction._canonical(other, _ONE)
+        if isinstance(other, (int, Fraction, Polynomial)):
+            return RationalFunction(other)
         return None
 
     def __add__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        # f + P = (N + P D)/D for a polynomial P (den 1), either side
-        if other.den.degree == 0:
-            return RationalFunction._canonical(self.num + other.num * self.den, self.den)
-        if self.den.degree == 0:
-            return RationalFunction._canonical(other.num + self.num * other.den, other.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._canonical(-self.num, self.den)
+        return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -322,10 +297,6 @@ class RationalFunction:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        if other._is_constant:                        # f c = (c N)/D
-            return RationalFunction._canonical(self.num * other.num, self.den)
-        if self._is_constant:
-            return RationalFunction._canonical(other.num * self.num, other.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -336,11 +307,6 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        if other._is_constant:                        # f / c = (N / c)/D
-            return RationalFunction._canonical(self.num * (1 / other.num.leading), self.den)
-        if self._is_constant:                         # c / f = (c D / n)/(N / n)
-            inv = 1 / other.num.leading
-            return RationalFunction._canonical(other.den * self.num * inv, other.num * inv)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

@@ -71,6 +71,11 @@ SINGULAR4 = make_comrade(4, (1, 3, 2, 2), (1, 1, 2), (1, 1, 2), (1, 0))
 
 # Rows 1 and 2 coincide: the zero appears at pivot 2, not pivot 1.
 PROPORTIONAL4 = make_comrade(4, (1, 2, 1, 1), (2, 0, 1), (1, 1, 1), (1, 1))
+# Columns n and n-1 of the inverse of M(t) behind PROPORTIONAL4's
+# SYMBOLIC factors (pivots 2 and 4 bumped), frozen from the solve on
+# RationalFunctions: the (3, n-1) entry carries the bumped beta_4 + t.
+PROPORTIONAL4_COL_N_STRS = ("0", "0", "(-1)/(t)", "(1)/(t)")
+PROPORTIONAL4_COL_N1_STRS = ("0", "0", "(t + 1)/(t)", "(-1)/(t)")
 
 # Nonsingular with an interior alpha_1 = 0: inversion must take the
 # alpha-substitution branch (or refuse, outside the symbolic mode).

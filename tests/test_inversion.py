@@ -11,7 +11,7 @@ except ImportError:                                   # fixed seeds instead
 
 import support
 from comrade import scalars
-from comrade import (DenseMatrix, NonFiniteResultError, Polynomial,
+from comrade import (DenseMatrix, NonFiniteResultError, OpCounter, Polynomial,
                      RationalFunction, ScalarMode, SingularMatrixError,
                      Substitution, ZeroPivotError,
                      comrade_times_dense, dense_det, dense_invert,
@@ -20,6 +20,7 @@ from comrade import (DenseMatrix, NonFiniteResultError, Polynomial,
                      remaining_columns, to_dense)
 from comrade.factorization import bumped_beta
 from comrade.inversion import lu_columns
+from comrade.scalars import POLY_T
 
 T = RationalFunction.t()
 
@@ -87,6 +88,20 @@ class TestSymbolicColumns:
                                              Polynomial((-24, 28)))
         assert col_n1[0].at_zero() == F(5, 8)
 
+    def test_last_two_columns_read_the_bumped_last_pivot(self):
+        # PROPORTIONAL4 is singular, so its last pivot is bumped as well,
+        # and column n-1 must read beta_4 + t, not beta_4
+        C = support.PROPORTIONAL4
+        Ft = factorize(C, ScalarMode.SYMBOLIC)
+        assert Ft.substitutions == (Substitution("pivot", 2), Substitution("pivot", 4))
+        col_n, col_n1 = last_two_columns(Ft, C)
+        zero, inv_t = RationalFunction(0), RationalFunction(Polynomial((1,)), POLY_T)
+        assert col_n == [zero, zero, RationalFunction(Polynomial((-1,)), POLY_T), inv_t]
+        assert col_n1 == [zero, zero, RationalFunction(Polynomial((1, 1)), POLY_T),
+                          RationalFunction(Polynomial((-1,)), POLY_T)]
+        assert tuple(map(str, col_n)) == support.PROPORTIONAL4_COL_N_STRS
+        assert tuple(map(str, col_n1)) == support.PROPORTIONAL4_COL_N1_STRS
+
     def test_remaining_columns_entries(self):
         Ft, C, work = self._working()
         col_n, col_n1 = last_two_columns(Ft, C)
@@ -137,6 +152,21 @@ class TestDegenerateHandling:
         col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.FLOAT), C)
         with pytest.raises(ValueError, match="lu_columns"):
             remaining_columns(col_n, col_n1, C, ScalarMode.FLOAT)
+
+
+    def test_remaining_columns_refuses_zero_alpha_exact(self):
+        # the recursion divides by alpha_2 and alpha_3: the lowest zero one
+        # is refused, as invert refuses it, before anything is tallied
+        C = make_comrade(5, (1, 2, 3, 4, 5), (1, 0, 0, 1), (1, 1, 1, 1), (1, 1, 1))
+        col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.EXACT), C)
+        ops = OpCounter()
+        with pytest.raises(ZeroPivotError) as info:
+            remaining_columns(col_n, col_n1, C, ScalarMode.EXACT, ops)
+        assert (info.value.index, info.value.what, ops.count) == (2, "alpha", 0)
+        assert str(info.value) == "zero alpha at index 2; retry in symbolic mode"
+        with pytest.raises(ZeroPivotError) as info:
+            invert(C, ScalarMode.EXACT)
+        assert (info.value.index, info.value.what) == (2, "alpha")
 
 
 class TestInvertProperties:
@@ -334,6 +364,28 @@ class TestPackedSymbolicRecursion:
             return
         work, cols = symbolic_columns(C)
         assert cols[:n - 2] == list(reversed(rf_recursion(cols[-1], cols[-2], work)))
+
+
+#: Columns with tiny entries, so large scales c_i, next to a last row
+#: with a small sum: c_i times a coefficient of adj(C') exceeds the bound
+#: the packing width is taken from, although the coefficient does not.
+LARGE_SCALES = (
+    make_comrade(3, (0, F(-3, 5000), F(-1, 2500)), (F(-7, 10000), -5),
+                 (F(1, 10000), F(-3, 10000)), (0,)),
+    make_comrade(4, (0, 6, F(1, 1000), F(1, 125)), (1, F(1, 250), 7),
+                 (F(1, 250), -6, F(3, 500)), (0, 0)),
+)
+
+
+@pytest.mark.parametrize("C", LARGE_SCALES, ids=["n3", "n4"])
+def test_packed_digits_are_read_before_scaling(C):
+    work, cols = symbolic_columns(C)
+    assert work != C
+    for t in (F(0), F(2, 7)):
+        M = make_comrade(C.n, *([at(v, t) for v in getattr(work, name)]
+                                for name in ("beta", "alpha", "gamma", "a")))
+        assert [tuple(at(v, t) for v in col) for col in cols] == \
+            list(zip(*dense_invert(to_dense(M)).rows))
 
 
 class TestSymbolicInvert:

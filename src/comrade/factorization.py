@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .matrix import ComradeMatrix, DenseMatrix
+from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
 from .scalars import Polynomial, RationalFunction, ScalarMode
 
 class ZeroPivotError(ArithmeticError):
@@ -171,21 +171,23 @@ class _ContinuantFactors(LUFactors):
     def pivot_product(self):
         d = self.D[-1]
         if self.mode is ScalarMode.SYMBOLIC:
-            d = _unpack(d, self.width)[0]
+            d = _low_digit(d, self.width)
         return Fraction(d, math.prod(self.scale))
 
     def column(self, adj, at_zero: bool = False) -> list:
         """The column c_i adj_i / D_n of the inverse, for a column adj of
         adj(C'): Fractions, or in SYMBOLIC mode the canonical
         RationalFunctions of the inverse of M(t), or with ``at_zero``
-        their values at t = 0, read off the lowest digits."""
+        their values at t = 0, read off the lowest digits.  A zero D_n
+        (D_n(0) at t = 0) raises SingularMatrixError."""
         scale, d = self.scale, self.D[-1]
         if self.mode is ScalarMode.SYMBOLIC and not at_zero:
             det = self._polynomial(d)
             return [RationalFunction(self._polynomial(v, c), det) for c, v in zip(scale, adj)]
         if self.mode is ScalarMode.SYMBOLIC:            # t = 0: the lowest balanced digits
-            half, mask = 1 << (self.width - 1), (1 << self.width) - 1
-            d, *adj = (((v + half) & mask) - half for v in (d, *adj))
+            d, *adj = (_low_digit(v, self.width) for v in (d, *adj))
+        if not d:
+            raise SingularMatrixError()
         return [Fraction(c * v, d) for c, v in zip(scale, adj)]
 
 
@@ -224,15 +226,20 @@ def _polynomial_coefficients(v):
     return v.num.coeffs
 
 
+def _low_digit(v: int, width: int) -> int:
+    """The constant coefficient of the packed polynomial v: its lowest
+    balanced base-2^width digit, in [-2^(width-1), 2^(width-1))."""
+    half = 1 << (width - 1)
+    return ((v + half) & ((1 << width) - 1)) - half
+
+
 def _unpack(v: int, width: int) -> list:
-    """Coefficients of the packed polynomial v, lowest first, as balanced
-    digits in [-2^(width-1), 2^(width-1))."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
+    """Coefficients of the packed polynomial v, lowest first, as the
+    balanced digits of ``_low_digit``."""
     digits = []
     while v:
-        d = ((v + half) & mask) - half
-        digits.append(d)
-        v = (v - d) >> width
+        digits.append(_low_digit(v, width))
+        v = (v - digits[-1]) >> width
     return digits
 
 

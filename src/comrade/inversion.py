@@ -33,6 +33,8 @@ an integer and every division by alpha'_j is exact, so the loop runs no
 gcd.  In SYMBOLIC mode alpha'_j is an integer or c t and the numerator
 is alpha'_j(t) times an adjugate entry in Z[t], so at t = 2^B too
 ``//`` returns the exact packed quotient; nothing is divided in Q[t].
+It starts from the closed-form columns n and n-1 of adj(C') above, so
+only ``factorization`` knows how the packed integers are laid out.
 ``invert`` needs columns 1 .. n-2 only at t = 0, where entry (i, j) is
 the Fraction c_i adj(C')_ij(0) / D_n(0) of the lowest balanced digits;
 D_n(0) = det(C) c_1 .. c_n is nonzero because ``invert`` has already
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
                             Substitution, ZeroPivotError, continuant_factors,
@@ -99,6 +100,8 @@ def _solve_column(F: LUFactors, alpha, ell, j0: int):
             y = -(ell[k0] * y)
             s[k0] = y
             last = last - x[k0] * y
+    if mu[n - 1] == 0:
+        raise SingularMatrixError()
     s[n - 1] = last / mu[n - 1]
     for i0 in range(n - 2, j0 - 1, -1):
         s[i0] = (s[i0] - alpha[i0] * s[i0 + 1]) / mu[i0]
@@ -128,7 +131,8 @@ def last_two_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = Non
     EXACT and SYMBOLIC read them off the continuants of F in closed form
     (see the module docstring).  FLOAT runs ``_solve_column`` for each,
     so there C must be the matrix F was computed from (same working
-    entries): its superdiagonal is the one sitting along U.
+    entries): its superdiagonal is the one sitting along U.  EXACT and
+    FLOAT factors of a singular matrix raise SingularMatrixError.
     """
     if ops is None:
         ops = OpCounter()
@@ -154,20 +158,21 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
                       ops: OpCounter | None = None, *, finalize: bool = False):
     """Columns n-2 down to 1 (returned in that order) via the four-term
     column recursion, in EXACT or SYMBOLIC mode; FLOAT columns come from
-    ``lu_columns``.  C must carry the same working entries the first two
-    columns were computed from, including any t-substituted alphas; the
-    +t bumps of the diagonal are found again if C does not carry them.
-    EXACT raises ZeroPivotError at a zero alpha_j, j <= n-2.
+    ``lu_columns``.  C carries the working entries, including any
+    t-substituted alphas; the +t bumps of the diagonal are found again
+    if C does not carry them.  EXACT raises ZeroPivotError at a zero
+    alpha_j, j <= n-2, and SingularMatrixError at a singular C.
 
-    The recursion runs on the adjugate columns of the integer (packed)
-    C' of ``factorization.continuant_factors`` (see the module
-    docstring); the returned Fractions and canonical RationalFunctions
-    are those of the recursion on Fractions and RationalFunctions.
+    ``col_n`` and ``col_n1`` are kept for the signature and not read:
+    the recursion starts from columns n and n-1 of adj(C') in closed
+    form (see the module docstring).  The returned Fractions and
+    canonical RationalFunctions are those of the recursion on Fractions
+    and RationalFunctions from ``last_two_columns`` of C's factors.
 
     With ``finalize`` the entries come back passed through
     ``mode.finalize``: in SYMBOLIC mode the Fractions c_i adj_ij(0) / D(0)
-    are read off the packed integers and no RationalFunction is built.
-    That needs M(0) = C to be nonsingular (else ZeroDivisionError)."""
+    are read off the packed integers and no RationalFunction is built,
+    and a singular C raises SingularMatrixError, as in ``invert``."""
     if mode is ScalarMode.FLOAT:
         raise ValueError("remaining_columns runs the exact recursion; "
                          "FLOAT columns come from lu_columns")
@@ -177,23 +182,9 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
     if mode is ScalarMode.EXACT:
         _refuse_zero_alpha(C)
     F = continuant_factors(C, mode)
-    scale, C, unit = F.scale, F.matrix, F.D[-1]
-    # at(v): an entry of column n or n-1 as p / q, at t = 2^width in
-    # SYMBOLIC mode.  There each input entry S_{i,k} = c_i adj(C')_{i,k}
-    # / D is a canonical RationalFunction whose den divides D(t), whose
-    # coefficients are below 2^(width-1) in absolute value, so den's
-    # roots lie within 2^(width-1) of 0 (Cauchy's bound) and
-    # den(2^width) != 0.
-    if mode is ScalarMode.EXACT:
-        at = lambda v: v.as_integer_ratio()
-    else:
-        point = 1 << F.width
-        at = lambda v: (v.num(point) / v.den(point)).as_integer_ratio()
-    col_n, col_n1 = ([unit * p // (q * c) for (p, q), c in zip(map(at, col), scale)]
-                     for col in (col_n, col_n1))
-
+    C, unit = F.matrix, F.D[-1]
     cols = []
-    prev2, prev1 = col_n, col_n1                      # Col_{j+2}, Col_{j+1}
+    prev2, prev1 = col_n, col_n1 = _adjugate_last_two(F)   # Col_{j+2}, Col_{j+1}
     for j in range(n - 2, 0, -1):                     # 1-based column index j
         # -beta_{j+1}, -gamma_{j+2}, -a_{n-j} and alpha_j; column n-1 of
         # the matrix ends in gamma_n, so there is no a-term for j = n-2;

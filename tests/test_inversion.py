@@ -119,6 +119,27 @@ class TestDegenerateHandling:
             invert(support.SINGULAR4, mode)
         assert str(info.value) == "matrix is singular"
 
+    @pytest.mark.parametrize("mode", [ScalarMode.EXACT, ScalarMode.FLOAT])
+    def test_singular_phase_calls_raise(self, mode):
+        # the last pivot is zero: the phases that divide by mu_n or D_n
+        # refuse as invert does; the tally is what ran before the division
+        C = support.SINGULAR4
+        factors = factorize(C, mode)
+        for phase, count in ((last_two_columns, 0), (lu_columns, C.n - 2)):
+            ops = OpCounter()
+            with pytest.raises(SingularMatrixError, match="matrix is singular"):
+                phase(factors, C, ops)
+            assert ops.count == count
+
+    def test_singular_symbolic_finalized_columns_raise(self):
+        # D(t) != 0, so the columns exist as rational functions, but at
+        # t = 0 the finalized ones would divide by D(0) = 0
+        C = support.SINGULAR4
+        col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.SYMBOLIC), C)
+        assert len(remaining_columns(col_n, col_n1, C, ScalarMode.SYMBOLIC)) == C.n - 2
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            remaining_columns(col_n, col_n1, C, ScalarMode.SYMBOLIC, finalize=True)
+
     def test_singular_found_after_substitution(self):
         # the zero pivot is substituted first; singularity emerges from
         # the reduced determinant, not from a zero mu
@@ -415,6 +436,13 @@ class TestSymbolicInvert:
         calls = []
         gcd = scalars.poly_gcd
         monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        # the column recursion starts from integer columns: nothing is
+        # evaluated at t = 2^B or at t = 0 as a polynomial
+        evaluations = []
+        at = Polynomial.__call__
+        monkeypatch.setattr(Polynomial, "__call__",
+                            lambda p, x: evaluations.append(1) or at(p, x))
         res = invert(random_comrade(n, seed, zero_pivot_bias=1.0), ScalarMode.SYMBOLIC)
         assert res.substitutions
         assert 0 < len(calls) < n * n
+        assert not evaluations

@@ -16,7 +16,7 @@ import argparse
 import csv
 import sys
 import time
-from fractions import Fraction
+from contextlib import nullcontext
 
 from .factorization import NonFiniteResultError, ZeroPivotError, determinant
 from .inversion import invert
@@ -33,6 +33,11 @@ EXIT_SINGULAR = 3
 EXIT_ZERO_PIVOT = 4
 EXIT_POLE = 5
 EXIT_NON_FINITE = 6
+
+#: the errors ``main`` reports as ``error: ...``, with their exit codes
+_EXIT_CODES = {MatrixFormatError: EXIT_PARSE, SingularMatrixError: EXIT_SINGULAR,
+               ZeroPivotError: EXIT_ZERO_PIVOT, PoleAtZeroError: EXIT_POLE,
+               NonFiniteResultError: EXIT_NON_FINITE}
 
 #: n above which the exact oracle is skipped in `bench` (residual instead).
 ORACLE_LIMIT = 200
@@ -78,38 +83,40 @@ def _cmd_inv(args) -> int:
     return EXIT_OK
 
 
+def _residual(C, inverse):
+    """||C S - I||_inf for an inverse S of C: exactly 0 on the exact paths."""
+    return (comrade_times_dense(C, inverse) - DenseMatrix.identity(C.n)).inf_norm()
+
+
 def _cmd_check(args) -> int:
     C = load_comrade(args.file)
     result = _run(lambda mode: invert(C, mode), args.mode)
-    product = comrade_times_dense(C, result.inverse)
-    residual = (product - DenseMatrix.identity(C.n)).inf_norm()
-    print(_format_scalar(residual))
+    print(_format_scalar(_residual(C, result.inverse)))
     return EXIT_OK
+
+
+def _family(args, n: int):
+    """The order-n matrix of the --family, --seed and --zero-pivot-bias
+    arguments."""
+    if args.family == "example33":
+        return example33(n)
+    return random_comrade(n, args.seed, args.zero_pivot_bias)
 
 
 def _cmd_gen(args) -> int:
     if args.n < 3:
         raise SystemExit(f"bad --n {args.n}: a comrade matrix needs n >= 3")
-    if args.family == "example33":
-        C = example33(args.n)
-    else:
-        C = random_comrade(args.n, args.seed, args.zero_pivot_bias)
-    dump_comrade(C, args.output)
+    dump_comrade(_family(args, args.n), args.output)
     return EXIT_OK
 
 
-def _bench_epsilon(C, result, mode: ScalarMode):
+def _bench_epsilon(C, inverse):
     """Accuracy column: vs the exact oracle up to ORACLE_LIMIT, residual
-    norm above it."""
+    norm above it.  A Fraction minus a float is their binary64
+    difference, so FLOAT inverses need no conversion."""
     if C.n <= ORACLE_LIMIT:
-        exact = dense_invert(to_dense(C))
-        if mode is ScalarMode.FLOAT:
-            return (exact.as_floats() - result.inverse).inf_norm()
-        return (exact - result.inverse).inf_norm()
-    identity = DenseMatrix.identity(C.n)
-    if mode is ScalarMode.FLOAT:
-        identity = identity.as_floats()
-    return (comrade_times_dense(C, result.inverse) - identity).inf_norm()
+        return (dense_invert(to_dense(C)) - inverse).inf_norm()
+    return _residual(C, inverse)
 
 
 def _cmd_bench(args) -> int:
@@ -122,24 +129,16 @@ def _cmd_bench(args) -> int:
             raise SystemExit(f"bad --sizes entry {chunk!r}")
         if sizes[-1] < 3:
             raise SystemExit(f"bad --sizes entry {chunk!r}: a comrade matrix needs n >= 3")
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:
         writer = csv.writer(out)
         writer.writerow(["n", "mode", "op_count", "wall_time_seconds", "epsilon"])
         for n in sizes:
-            if args.family == "example33":
-                C = example33(n)
-            else:
-                C = random_comrade(n, args.seed, args.zero_pivot_bias)
+            C = _family(args, n)
             start = time.perf_counter()
             result = invert(C, mode)
             wall = time.perf_counter() - start
-            epsilon = _bench_epsilon(C, result, mode)
-            writer.writerow([n, mode.value, result.op_count,
-                             f"{wall:.6f}", _format_scalar(epsilon)])
-    finally:
-        if args.output:
-            out.close()
+            writer.writerow([n, mode.value, result.op_count, f"{wall:.6f}",
+                             _format_scalar(_bench_epsilon(C, result.inverse))])
     return EXIT_OK
 
 
@@ -191,21 +190,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except MatrixFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except ZeroPivotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_PIVOT
-    except PoleAtZeroError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POLE
-    except NonFiniteResultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_FINITE
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

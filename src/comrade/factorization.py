@@ -148,21 +148,21 @@ class _ContinuantFactors(LUFactors):
         c times a digit can exceed the bound the width is taken from."""
         return Polynomial([c * d for d in _unpack(v, self.width)])
 
+    def _quotient(self, num, den, c=1):
+        """num / (c den): a Fraction, or in SYMBOLIC mode the canonical
+        RationalFunction of the packed num and den."""
+        if self.mode is ScalarMode.EXACT:
+            return Fraction(num, c * den)
+        return RationalFunction(self._polynomial(num), self._polynomial(den, c))
+
     @cached_property
     def mu(self):
         # mu_i = D_i / (c_i D_{i-1})
-        if self.mode is ScalarMode.EXACT:
-            return tuple(map(Fraction, self.D[1:], map(operator.mul, self.scale, self.D)))
-        p = self._polynomial
-        return tuple(RationalFunction(p(d), p(d0, c))
-                     for d, d0, c in zip(self.D[1:], self.D, self.scale))
+        return tuple(map(self._quotient, self.D[1:], self.D, self.scale))
 
     @cached_property
     def x(self):
-        if self.mode is ScalarMode.EXACT:
-            return tuple(map(Fraction, self.X, self.D[1:]))
-        p = self._polynomial
-        return tuple(RationalFunction(p(x), p(d)) for x, d in zip(self.X, self.D[1:]))
+        return tuple(map(self._quotient, self.X, self.D[1:]))
 
     @property
     def n(self) -> int:

@@ -49,6 +49,20 @@ def _order(data, path) -> int:
     return n
 
 
+def _rationals(values: list, where: str) -> tuple:
+    """The rational strings of one list or row, parsed; ``where`` names
+    the list in a diagnostic, e.g. "m.json: beta" or "m.json: rows[2]"."""
+    out = []
+    for i, v in enumerate(values):
+        if not isinstance(v, str):
+            raise MatrixFormatError(f"{where}[{i}]: expected a rational string")
+        try:
+            out.append(parse_rational(v))
+        except ValueError as exc:
+            raise MatrixFormatError(f"{where}[{i}]: {exc}") from exc
+    return tuple(out)
+
+
 def _rational_list(data, field: str, want: int, path) -> tuple:
     values = data.get(field)
     if not isinstance(values, list):
@@ -56,15 +70,7 @@ def _rational_list(data, field: str, want: int, path) -> tuple:
     if len(values) != want:
         raise MatrixFormatError(
             f"{path}: field {field!r} must have {want} entries, got {len(values)}")
-    out = []
-    for i, v in enumerate(values):
-        if not isinstance(v, str):
-            raise MatrixFormatError(f"{path}: {field}[{i}]: expected a rational string")
-        try:
-            out.append(parse_rational(v))
-        except ValueError as exc:
-            raise MatrixFormatError(f"{path}: {field}[{i}]: {exc}") from exc
-    return tuple(out)
+    return _rationals(values, f"{path}: {field}")
 
 
 def load_comrade(path) -> ComradeMatrix:
@@ -95,15 +101,7 @@ def load_dense(path) -> DenseMatrix:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise MatrixFormatError(f"{path}: rows[{i}] must be a list of {n} entries")
-        entries = []
-        for j, v in enumerate(row):
-            if not isinstance(v, str):
-                raise MatrixFormatError(f"{path}: rows[{i}][{j}]: expected a rational string")
-            try:
-                entries.append(parse_rational(v))
-            except ValueError as exc:
-                raise MatrixFormatError(f"{path}: rows[{i}][{j}]: {exc}") from exc
-        out.append(tuple(entries))
+        out.append(_rationals(row, f"{path}: rows[{i}]"))
     return DenseMatrix(n, tuple(out))
 
 

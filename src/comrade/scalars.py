@@ -29,14 +29,15 @@ import math
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal of the form ``p`` or ``p/q``.
 
     Deliberately stricter than ``Fraction(str)``: decimal and exponent
-    forms are rejected so matrix files stay exact by construction.
+    forms are rejected so matrix files stay exact by construction, and
+    so are digits other than ASCII 0-9.
     """
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 import support
-from comrade import (DenseMatrix, comrade_times_dense, example33, load_comrade,
-                     load_dense, random_comrade)
+from comrade import (DenseMatrix, ScalarMode, comrade_times_dense, dense_invert,
+                     example33, invert, load_comrade, load_dense, random_comrade,
+                     to_dense)
+from comrade import cli
 from comrade.cli import main
 
 
@@ -146,6 +148,15 @@ class TestErrors:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_non_ascii_digit_is_a_located_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 3, "beta": ["1", "1", "1"], "alpha": ["1", "\\u0663"],'
+                       ' "gamma": ["1", "1"], "a": ["1"]}')
+        code, out, err = run(capsys, "det", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {bad}: alpha[1]: invalid rational literal '\u0663'"
+                       " (want 'p' or 'p/q')\n")
+
     def test_no_command(self):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -219,6 +230,35 @@ class TestBench:
         rows = self.read_csv(out_path)
         assert rows[1][1] == "float"
         assert float(rows[1][4]) < 1e-10  # LU-solved float inverse, near roundoff
+
+    @pytest.mark.parametrize("family", ["example33", "random"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_epsilon_against_oracle_then_residual(self, capsys, tmp_path, monkeypatch,
+                                                  family, mode):
+        # n = 4 is compared with the oracle, n = 5 (above the limit) by residual
+        monkeypatch.setattr(cli, "ORACLE_LIMIT", 4)
+        out_path = tmp_path / "bench.csv"
+        code, _, _ = run(capsys, "bench", "--family", family, "--sizes", "4,5",
+                         "--mode", mode, "-o", str(out_path))
+        assert code == 0
+        rows = self.read_csv(out_path)[1:]
+        assert [row[0] for row in rows] == ["4", "5"]
+        expected = []
+        for n in (4, 5):
+            M = example33(n) if family == "example33" else random_comrade(n, 0)
+            S = invert(M, ScalarMode(mode)).inverse
+            if n == 4:
+                exact = dense_invert(to_dense(M))
+                eps = ((exact.as_floats() if mode == "float" else exact) - S).inf_norm()
+            else:
+                identity = DenseMatrix.identity(n)
+                if mode == "float":
+                    identity = identity.as_floats()
+                eps = (comrade_times_dense(M, S) - identity).inf_norm()
+            expected.append(repr(eps) if mode == "float" else str(eps))
+        assert [row[4] for row in rows] == expected
+        if mode == "float":
+            assert 0 < float(rows[0][4]) != float(rows[1][4])
 
     def test_bad_sizes(self, capsys):
         with pytest.raises(SystemExit):

@@ -2,6 +2,7 @@
 the package's API, so a diff of two trees' corpora compares results and
 not a crash of the script."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -41,3 +42,21 @@ def test_records_run_in_every_mode(diffcorpus, mode, capsys):
         assert ("example33", "remaining_columns finalize=True") in entries
     if mode is ScalarMode.SYMBOLIC:
         assert ("rescue", "bumped remaining_columns finalize=True") in entries
+
+
+def test_cli_records_run(diffcorpus, tmp_path, capsys):
+    diffcorpus.cli_records(tmp_path)
+    out = capsys.readouterr().out
+    assert str(tmp_path) not in out
+    lines = [line.split("\t") for line in out.splitlines()]
+    assert all(len(line) == 4 and line[0].startswith("cli:") for line in lines)
+    records = [(command, ast.literal_eval(value)) for _, _, command, value in lines]
+    assert {"gen", "det", "inv", "check", "bench"} <= {command for command, _ in records}
+    codes = {code for _, (code, *_) in records}
+    assert {0, 2, 3, 4, 6} <= codes
+    assert not [code for code in codes if isinstance(code, tuple)]   # no unexpected error
+    for command, (code, _, _, written) in records:
+        if command in ("gen", "inv"):
+            assert (written is not None) == (code == 0)
+        if command == "bench" and code == 0:
+            assert written[0] == ["n", "mode", "op_count", "epsilon"]

@@ -42,6 +42,12 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_rational(text)
 
+    @pytest.mark.parametrize("text", ["\u0663", "\uff11/\uff12", "1/\u0662", "-\u0967"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        # Unicode digits (Arabic-Indic, fullwidth, Devanagari) are not ASCII entries
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            parse_rational(text)
+
     def test_format(self):
         assert format_rational(F(5)) == "5"
         assert format_rational(F(-3, 4)) == "-3/4"

@@ -13,15 +13,24 @@ The inputs come from this checkout's ``tests/support.py`` and the
 generators of ``perfbench/workloads.py``, so both runs see the same
 matrices.  Fractions print as p/q, floats as their hex bit patterns and
 RationalFunctions as the coefficient tuples of their canonical num and
-den.  The script is not a test module; pytest does not collect it.
+den.  The ``cli:`` records run ``comrade.cli.main`` in process on a few
+generated, fixture and malformed files, each command in each mode, and
+give its exit code, stdout, stderr and the file it wrote (``bench``
+rows without the wall-time column), with the scratch directory's path
+replaced by ``<tmp>``.  The script is not a test module; pytest does
+not collect it.
 """
 
 from __future__ import annotations
 
+import csv
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +42,7 @@ import workloads  # noqa: E402
 from comrade import (OpCounter, RationalFunction, ScalarMode,  # noqa: E402
                      Substitution, determinant, factorize, invert,
                      last_two_columns, remaining_columns)
+from comrade import cli  # noqa: E402
 from comrade.factorization import bumped_beta  # noqa: E402
 from comrade.inversion import lu_columns  # noqa: E402
 
@@ -129,13 +139,104 @@ def records(name, C, mode):
         line("lu_columns", call(lu_columns, F, work))
 
 
+def cli_call(tmp, argv, out=None):
+    """(exit code, stdout, stderr, text of ``out`` or None) of the command
+    line argv run in process; ``out`` is removed afterwards."""
+    stdout, stderr = StringIO(), StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:                # an unexpected failure
+            code = (type(exc).__name__, str(exc))
+    written = None
+    if out is not None and out.exists():
+        written = out.read_text()
+        out.unlink()
+    return tuple(v.replace(str(tmp), "<tmp>") if isinstance(v, str) else v
+                 for v in (code, stdout.getvalue(), stderr.getvalue(), written))
+
+
+def cli_files(tmp):
+    """(name, path, record) of the matrix files the ``cli:`` records
+    read: the record of the ``gen`` call that wrote the file, or None."""
+    generated = [("example33:5", ["--family", "example33", "--n", "5"]),
+                 ("example33:40", ["--family", "example33", "--n", "40"]),
+                 ("random:6:1", ["--family", "random", "--n", "6", "--seed", "1"]),
+                 ("random:5:2", ["--family", "random", "--n", "5", "--seed", "2"]),
+                 ("random:8:3:1.0", ["--family", "random", "--n", "8", "--seed", "3",
+                                     "--zero-pivot-bias", "1.0"])]
+    for name, argv in generated:
+        path = tmp / f"{name.replace(':', '_')}.json"
+        record = cli_call(tmp, ["gen", *argv, "-o", str(path)], path)
+        path.write_text(record[3] or "")
+        yield name, path, record
+    for path in sorted((_ROOT / "tests" / "fixtures").glob("*.json")):
+        yield f"fixture:{path.stem}", path, None
+    for name in ("TINY_PIVOT3", "HUGE_DIAGONAL3"):
+        path = tmp / f"{name}.json"
+        comrade.dump_comrade(getattr(support, name), path)
+        yield f"support:{name}", path, None
+    entries = '"beta": ["1", "1", "1"], "gamma": ["1", "1"], "a": ["1"]'
+    malformed = [("not-json", "{"), ("n-2", '{"n": 2}'),
+                 ("short-alpha", '{"n": 3, "alpha": ["1"], %s}' % entries),
+                 ("decimal", '{"n": 3, "alpha": ["1", "1.5"], %s}' % entries),
+                 ("non-ascii", '{"n": 3, "alpha": ["1", "\\u0663"], %s}' % entries)]
+    for name, text in malformed:
+        path = tmp / f"{name}.json"
+        path.write_text(text)
+        yield f"malformed:{name}", path, None
+    yield "missing", tmp / "missing.json", None
+
+
+def cli_records(tmp):
+    """The ``cli:`` records, with tmp as the scratch directory."""
+    line = lambda name, mode, command, value: print(f"cli:{name}\t{mode}\t{command}\t{value!r}")
+    out = tmp / "out"
+    settings = [("default", [])] + [(m.value, ["--mode", m.value]) for m in ScalarMode]
+    for name, path, gen_record in cli_files(tmp):
+        if gen_record is not None:
+            line(name, "-", "gen", gen_record)
+        for mode, mode_argv in settings:
+            line(name, mode, "det", cli_call(tmp, ["det", str(path), *mode_argv]))
+            line(name, mode, "inv", cli_call(tmp, ["inv", str(path), "-o", str(out),
+                                                   *mode_argv], out))
+            line(name, mode, "check", cli_call(tmp, ["check", str(path), *mode_argv]))
+    for name, argv in [("help", ["--help"]), ("help", ["det", "--help"]),
+                       ("help", ["bench", "--help"]), ("no-command", []),
+                       ("bad-mode", ["det", "x.json", "--mode", "decimal"]),
+                       ("n-2", ["gen", "--family", "random", "--n", "2", "-o", str(out)]),
+                       ("bad-sizes", ["bench", "--family", "random", "--sizes", "4,x"]),
+                       ("sizes-2", ["bench", "--family", "random", "--sizes", "4,2"])]:
+        line(name, "-", " ".join(argv[:2]), cli_call(tmp, argv, out))
+    families = [("example33", ["--family", "example33", "--sizes", "3,5,12"]),
+                ("random", ["--family", "random", "--sizes", "4,6"]),
+                ("random:1.0", ["--family", "random", "--sizes", "5,7", "--seed", "3",
+                                "--zero-pivot-bias", "1.0"])]
+    oracle_limit = cli.ORACLE_LIMIT
+    for limit in (oracle_limit, 4):
+        cli.ORACLE_LIMIT = limit                # 4: the residual branch above n = 4
+        try:
+            for name, argv in families:
+                for mode, mode_argv in settings:
+                    code, stdout, stderr, text = cli_call(
+                        tmp, ["bench", *argv, *mode_argv, "-o", str(out)], out)
+                    rows = [row[:3] + row[4:] for row in csv.reader(StringIO(text or ""))]
+                    line(f"{name}:limit={limit}", mode, "bench", (code, stdout, stderr, rows))
+        finally:
+            cli.ORACLE_LIMIT = oracle_limit
+
+
 def main():
     count = 0
     for name, C in inputs():
         count += 1
         for mode in ScalarMode:
             records(name, C, mode)
-    print(f"# {count} inputs", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_records(Path(tmp))
+    print(f"# {count} inputs and the cli records", file=sys.stderr)
 
 
 if __name__ == "__main__":

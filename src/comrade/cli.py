@@ -129,16 +129,16 @@ def _cmd_bench(args) -> int:
             raise SystemExit(f"bad --sizes entry {chunk!r}")
         if sizes[-1] < 3:
             raise SystemExit(f"bad --sizes entry {chunk!r}: a comrade matrix needs n >= 3")
+    rows = [["n", "mode", "op_count", "wall_time_seconds", "epsilon"]]
+    for n in sizes:
+        C = _family(args, n)
+        start = time.perf_counter()
+        result = invert(C, mode)
+        wall = time.perf_counter() - start
+        rows.append([n, mode.value, result.op_count, f"{wall:.6f}",
+                     _format_scalar(_bench_epsilon(C, result.inverse))])
     with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:
-        writer = csv.writer(out)
-        writer.writerow(["n", "mode", "op_count", "wall_time_seconds", "epsilon"])
-        for n in sizes:
-            C = _family(args, n)
-            start = time.perf_counter()
-            result = invert(C, mode)
-            wall = time.perf_counter() - start
-            writer.writerow([n, mode.value, result.op_count, f"{wall:.6f}",
-                             _format_scalar(_bench_epsilon(C, result.inverse))])
+        csv.writer(out).writerows(rows)
     return EXIT_OK
 
 

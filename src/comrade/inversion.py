@@ -37,8 +37,8 @@ It starts from the closed-form columns n and n-1 of adj(C') above, so
 only ``factorization`` knows how the packed integers are laid out.
 ``invert`` needs columns 1 .. n-2 only at t = 0, where entry (i, j) is
 the Fraction c_i adj(C')_ij(0) / D_n(0) of the lowest balanced digits;
-D_n(0) = det(C) c_1 .. c_n is nonzero because ``invert`` has already
-rejected a singular C.  Only the last two columns, and a direct call of
+D_n(0) = det(C) c_1 .. c_n, and a zero one is refused there as a
+singular C.  Only the last two columns, and a direct call of
 ``remaining_columns``, build the canonical RationalFunctions
 c_i adj(C')_ij(t) / D_n(t) from all the digits.
 
@@ -160,8 +160,10 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
     column recursion, in EXACT or SYMBOLIC mode; FLOAT columns come from
     ``lu_columns``.  C carries the working entries, including any
     t-substituted alphas; the +t bumps of the diagonal are found again
-    if C does not carry them.  EXACT raises ZeroPivotError at a zero
-    alpha_j, j <= n-2, and SingularMatrixError at a singular C.
+    if C does not carry them.  Both modes raise ZeroPivotError at a zero
+    alpha_j, j <= n-2, before any tally (SYMBOLIC callers pass t there),
+    and SingularMatrixError at a singular C: EXACT always, SYMBOLIC with
+    ``finalize``.
 
     ``col_n`` and ``col_n1`` are kept for the signature and not read:
     the recursion starts from columns n and n-1 of adj(C') in closed
@@ -171,16 +173,14 @@ def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
 
     With ``finalize`` the entries come back passed through
     ``mode.finalize``: in SYMBOLIC mode the Fractions c_i adj_ij(0) / D(0)
-    are read off the packed integers and no RationalFunction is built,
-    and a singular C raises SingularMatrixError, as in ``invert``."""
+    are read off the packed integers and no RationalFunction is built."""
     if mode is ScalarMode.FLOAT:
         raise ValueError("remaining_columns runs the exact recursion; "
                          "FLOAT columns come from lu_columns")
     if ops is None:
         ops = OpCounter()
     n = C.n
-    if mode is ScalarMode.EXACT:
-        _refuse_zero_alpha(C)
+    _refuse_zero_alpha(C)
     F = continuant_factors(C, mode)
     C, unit = F.matrix, F.D[-1]
     cols = []
@@ -218,10 +218,13 @@ def lu_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
 
 
 def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
-    """Full inverse.  Raises SingularMatrixError when the determinant is
-    exactly zero, ZeroPivotError in EXACT/FLOAT mode when the symbolic
-    rescue would be needed, and NonFiniteResultError in FLOAT mode when
-    the determinant or an inverse entry is inf or nan.
+    """Full inverse.  Raises ZeroPivotError in EXACT/FLOAT mode when the
+    symbolic rescue would be needed, NonFiniteResultError in FLOAT mode
+    when the determinant or an inverse entry is inf or nan, and
+    SingularMatrixError where the last pivot would be divided by: in the
+    last two columns in EXACT (D_n = 0) and FLOAT (mu_n = 0), in the
+    recursion at t = 0 in SYMBOLIC (D_n(0) = 0).  So a FLOAT pivot
+    product that only underflows to 0.0 is not singular.
 
     EXACT and SYMBOLIC take 7n^2 - 5n - 11 field operations when nothing
     is degenerate: 6n - 9 to factorize, n - 1 for the determinant, 4n - 1
@@ -232,28 +235,23 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     3(n - j) - 3 in the forward pass and 1 + 3(n - j) + 2(j - 1) in the
     backward pass, 6n - 4 - 4j in all; the sum over j is 4n^2 - 10n + 4.
     """
-    n = C.n
     ops = OpCounter()
 
     # each phase converts the entries it reads to the mode's scalars
     work, alpha_subs = C, []
     if mode is ScalarMode.SYMBOLIC:
         # only alpha_1..alpha_{n-2} are ever divided by; alpha_{n-1} stays
-        alpha_subs = [Substitution("alpha", j0 + 1) for j0 in range(n - 2) if C.alpha[j0] == 0]
-        work = replace(C, alpha=tuple(_T if j0 < n - 2 and v == 0 else v
-                                      for j0, v in enumerate(C.alpha)))
+        alpha_subs = [Substitution("alpha", j0 + 1) for j0, v in enumerate(C.alpha[:-1]) if v == 0]
+        work = replace(C, alpha=tuple(_T if v == 0 else v for v in C.alpha[:-1]) + C.alpha[-1:])
 
     F = factorize(work, mode, ops)
     det = pivot_product(F, ops)
-    if det == 0:
-        raise SingularMatrixError()
-    if mode is not ScalarMode.SYMBOLIC:
-        _refuse_zero_alpha(C)
-
     col_n, col_n1 = last_two_columns(F, work, ops)
     if mode is ScalarMode.FLOAT:
+        _refuse_zero_alpha(C)                   # a policy: lu_columns never divides by alpha
         columns = lu_columns(F, work, ops)
     else:
+        # before col_n is finalized: a singular C is refused, not a pole
         columns = remaining_columns(col_n, col_n1, work, mode, ops, finalize=True)[::-1]
     rows = tuple(zip(*columns, map(mode.finalize, col_n1), map(mode.finalize, col_n)))
     if mode is ScalarMode.FLOAT:
@@ -263,6 +261,6 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
                     raise NonFiniteResultError(f"inverse entry ({i0 + 1}, {j0 + 1})")
         if not math.isfinite(det):
             raise NonFiniteResultError("determinant")
-    return InverseResult(inverse=DenseMatrix(n, rows), determinant=det,
+    return InverseResult(inverse=DenseMatrix(C.n, rows), determinant=det,
                          substitutions=tuple(F.substitutions) + tuple(alpha_subs),
                          op_count=ops.count)

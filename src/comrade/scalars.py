@@ -29,7 +29,7 @@ import math
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -37,13 +37,13 @@ def parse_rational(text: str) -> Fraction:
 
     Deliberately stricter than ``Fraction(str)``: decimal and exponent
     forms are rejected so matrix files stay exact by construction, and
-    so are digits other than ASCII 0-9.
+    so are non-ASCII digits and non-ASCII whitespace around the literal.
     """
-    s = text.strip()
-    if not _RATIONAL_RE.fullmatch(s):
+    m = _RATIONAL_RE.fullmatch(text.strip(" \t\n\r\f\v"))
+    if not m:
         raise ValueError(f"invalid rational literal {text!r} (want 'p' or 'p/q')")
     try:
-        return Fraction(s)
+        return Fraction(int(m[1]), int(m[2] or 1))
     except ZeroDivisionError:
         raise ValueError(f"invalid rational literal {text!r} (zero denominator)") from None
 

@@ -94,6 +94,11 @@ TINY_PIVOT3 = make_comrade(3, (F(1, 10**300), 2, 3), (10**10, 1), (1, 1), (1,))
 # determinant, the product of three pivots near 1e200, overflows.
 HUGE_DIAGONAL3 = make_comrade(3, (10**200,) * 3, (1, 1), (1, 1), (1,))
 
+# Upper triangular with every entry 1e-200 or 0: nonsingular, with
+# inverse entries of size 1e200, but the float product of its three
+# pivots underflows to 0.0.
+UNDERFLOW3 = make_comrade(3, (F(1, 10**200),) * 3, (F(1, 10**200),) * 2, (0, 0), (0,))
+
 # Frozen output of random_comrade(4, 7, 0.0); guards the generator
 # against silent reseeding, which would invalidate seeded regressions.
 GOLDEN_RANDOM_4_7 = dict(

@@ -103,6 +103,32 @@ class TestInv:
         assert err.strip() == "error: matrix is singular"
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("mode", [m.value for m in ScalarMode])
+    @pytest.mark.parametrize("name", ["SINGULAR4", "PROPORTIONAL4"])
+    def test_singular_input_in_every_mode(self, capsys, comrade_file, tmp_path, mode, name):
+        # whichever phase refuses, a singular file is exit 3, and in SYMBOLIC
+        # never a pole at t = 0 (exit 5); outside SYMBOLIC, PROPORTIONAL4
+        # hits its zero pivot first
+        path = comrade_file(getattr(support, name))
+        out_path = tmp_path / "x.json"
+        for argv in (["inv", str(path), "-o", str(out_path)], ["check", str(path)]):
+            code, out, err = run(capsys, *argv, "--mode", mode)
+            if name == "PROPORTIONAL4" and mode != "symbolic":
+                assert (code, err) == (4, "error: zero pivot at index 2; retry in symbolic mode\n")
+                continue
+            assert (code, out, err) == (3, "", "error: matrix is singular\n")
+        assert not out_path.exists()
+
+    def test_float_underflowing_determinant_is_not_singular(self, capsys, comrade_file,
+                                                            tmp_path):
+        # nonzero pivots whose float product underflows: the inverse is written
+        path = comrade_file(support.UNDERFLOW3)
+        out_path = tmp_path / "inv.json"
+        code, out, err = run(capsys, "inv", str(path), "-o", str(out_path), "--mode", "float")
+        assert (code, out, err) == (0, "determinant: 0.0\nsubstitutions: none\n", "")
+        S = invert(support.UNDERFLOW3, ScalarMode.EXACT).inverse
+        assert load_dense(out_path).as_floats() == S.as_floats()
+
 
 class TestCheck:
     def test_exact_residual_is_zero(self, capsys, comrade_file):
@@ -155,6 +181,16 @@ class TestErrors:
         code, out, err = run(capsys, "det", str(bad))
         assert (code, out) == (2, "")
         assert err == (f"error: {bad}: alpha[1]: invalid rational literal '\u0663'"
+                       " (want 'p' or 'p/q')\n")
+
+    def test_non_ascii_whitespace_is_a_located_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 3, "beta": ["1", "1", "1"], "alpha": ["1", "1"],'
+                       ' "gamma": ["1", "\\u30001"], "a": ["1"]}')
+        code, out, err = run(capsys, "det", str(bad))
+        assert (code, out) == (2, "")
+        entry = "\u30001"                       # an ideographic space, then 1
+        assert err == (f"error: {bad}: gamma[1]: invalid rational literal {entry!r}"
                        " (want 'p' or 'p/q')\n")
 
     def test_no_command(self):
@@ -271,6 +307,18 @@ class TestBench:
             main(["bench", "--family", "random", "--sizes", sizes])
         assert exc.value.code.endswith(": a comrade matrix needs n >= 3")
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [["--sizes", "5,7", "--seed", "3", "--zero-pivot-bias", "1.0"],
+                                      ["--sizes", "4,5", "--seed", "11", "--zero-pivot-bias", "0.5"]])
+    def test_failing_size_writes_no_file(self, capsys, tmp_path, argv):
+        # a zero pivot at the first size, or only at the second: nothing is
+        # written, not even the header, as `inv` writes nothing on error
+        out_path = tmp_path / "bench.csv"
+        code, out, err = run(capsys, "bench", "--family", "random", *argv, "-o", str(out_path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: zero pivot at index ")
+        assert not out_path.exists()
+        assert run(capsys, "bench", "--family", "random", *argv)[:2] == (4, "")
 
     def test_sizes_below_3_write_no_file(self, capsys, tmp_path):
         out_path = tmp_path / "bench.csv"

@@ -189,6 +189,26 @@ class TestDegenerateHandling:
             invert(C, ScalarMode.EXACT)
         assert (info.value.index, info.value.what) == (2, "alpha")
 
+    def test_remaining_columns_refuses_zero_alpha_symbolic(self):
+        # a SYMBOLIC caller that does not pass t gets the refusal EXACT
+        # gets, not a bare ZeroDivisionError from the recursion
+        C = support.ALPHA_ZERO4
+        col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.SYMBOLIC), C)
+        ops = OpCounter()
+        with pytest.raises(ZeroPivotError) as info:
+            remaining_columns(col_n, col_n1, C, ScalarMode.SYMBOLIC, ops)
+        assert (info.value.index, info.value.what, ops.count) == (1, "alpha", 0)
+
+    def test_float_pivot_product_underflow_is_not_singular(self):
+        # every pivot is nonzero, so the columns divide by nothing zero;
+        # only their product, the determinant, underflows
+        C = support.UNDERFLOW3
+        res = invert(C, ScalarMode.FLOAT)
+        exact = invert(C, ScalarMode.EXACT)
+        assert res.determinant == 0.0 and exact.determinant == F(1, 10**600)
+        assert res.inverse == exact.inverse.as_floats()
+        assert res.inverse[0][0] == 1e200
+
 
 class TestInvertProperties:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

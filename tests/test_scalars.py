@@ -48,6 +48,17 @@ class TestParseFormat:
         with pytest.raises(ValueError, match="invalid rational literal"):
             parse_rational(text)
 
+    @pytest.mark.parametrize("text", ["\u30001", "1\u2003", "\xa0-2/3\u2028"])
+    def test_parse_rejects_non_ascii_whitespace(self, text):
+        # ideographic space, em space, no-break space, line separator
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text,value", [(" 3 ", F(3)), ("\t-7/5\n", F(-7, 5)),
+                                            ("\r\f\v1/2 ", F(1, 2))])
+    def test_parse_strips_ascii_whitespace(self, text, value):
+        assert parse_rational(text) == value
+
     def test_format(self):
         assert format_rational(F(5)) == "5"
         assert format_rational(F(-3, 4)) == "-3/4"

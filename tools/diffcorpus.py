@@ -174,7 +174,7 @@ def cli_files(tmp):
         yield name, path, record
     for path in sorted((_ROOT / "tests" / "fixtures").glob("*.json")):
         yield f"fixture:{path.stem}", path, None
-    for name in ("TINY_PIVOT3", "HUGE_DIAGONAL3"):
+    for name in ("TINY_PIVOT3", "HUGE_DIAGONAL3", "UNDERFLOW3"):
         path = tmp / f"{name}.json"
         comrade.dump_comrade(getattr(support, name), path)
         yield f"support:{name}", path, None
@@ -182,7 +182,8 @@ def cli_files(tmp):
     malformed = [("not-json", "{"), ("n-2", '{"n": 2}'),
                  ("short-alpha", '{"n": 3, "alpha": ["1"], %s}' % entries),
                  ("decimal", '{"n": 3, "alpha": ["1", "1.5"], %s}' % entries),
-                 ("non-ascii", '{"n": 3, "alpha": ["1", "\\u0663"], %s}' % entries)]
+                 ("non-ascii", '{"n": 3, "alpha": ["1", "\\u0663"], %s}' % entries),
+                 ("unicode-space", '{"n": 3, "alpha": ["1", "\\u30001"], %s}' % entries)]
     for name, text in malformed:
         path = tmp / f"{name}.json"
         path.write_text(text)

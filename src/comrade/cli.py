@@ -17,6 +17,7 @@ import csv
 import sys
 import time
 from contextlib import nullcontext
+from functools import cache
 
 from .factorization import NonFiniteResultError, ZeroPivotError, determinant
 from .inversion import invert
@@ -142,7 +143,10 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: parsing
+    leaves it unchanged, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="comrade",
         description="Determinants and inverses of comrade matrices "

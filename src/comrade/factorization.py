@@ -66,7 +66,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
-from .scalars import Polynomial, RationalFunction, ScalarMode
+from .scalars import Polynomial, RationalFunction, ScalarMode, _low_digit, _unpack
 
 class ZeroPivotError(ArithmeticError):
     """A zero pivot (or zero divisor alpha) in a mode without symbolic rescue."""
@@ -224,23 +224,6 @@ def _polynomial_coefficients(v):
     if v.den != 1:
         raise ValueError(f"working entry {v} is not a polynomial in t")
     return v.num.coeffs
-
-
-def _low_digit(v: int, width: int) -> int:
-    """The constant coefficient of the packed polynomial v: its lowest
-    balanced base-2^width digit, in [-2^(width-1), 2^(width-1))."""
-    half = 1 << (width - 1)
-    return ((v + half) & ((1 << width) - 1)) - half
-
-
-def _unpack(v: int, width: int) -> list:
-    """Coefficients of the packed polynomial v, lowest first, as the
-    balanced digits of ``_low_digit``."""
-    digits = []
-    while v:
-        digits.append(_low_digit(v, width))
-        v = (v - digits[-1]) >> width
-    return digits
 
 
 def continuants(S: ComradeMatrix, bump=None):

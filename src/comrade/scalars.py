@@ -19,7 +19,12 @@ Representation invariants:
   equality.
 
 The constructor skips ``poly_gcd`` when num or den is a constant, since
-the gcd is then 1.
+the gcd is then 1.  ``poly_gcd`` itself works on integers: it clears
+denominators and finds the gcd from one integer gcd of the two
+polynomials evaluated at a power of two (GCDHEU), checked by trial
+division over Z.  ``_low_digit`` and ``_unpack`` read such an evaluation
+back as polynomial coefficients; ``factorization`` packs its SYMBOLIC
+continuants the same way and reads them with these two functions.
 """
 
 from __future__ import annotations
@@ -216,14 +221,108 @@ POLY_T = Polynomial((0, 1))
 _ONE = Polynomial((1,))
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) is undefined."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("poly_gcd(0, 0) is undefined")
+def _low_digit(v: int, width: int) -> int:
+    """The constant coefficient of the packed polynomial v: its lowest
+    balanced base-2^width digit, in [-2^(width-1), 2^(width-1))."""
+    half = 1 << (width - 1)
+    return ((v + half) & ((1 << width) - 1)) - half
+
+
+def _unpack(v: int, width: int) -> list:
+    """Coefficients of the packed polynomial v, lowest first, as the
+    balanced digits of ``_low_digit``."""
+    digits = []
+    while v:
+        digits.append(_low_digit(v, width))
+        v = (v - digits[-1]) >> width
+    return digits
+
+
+def _evaluate(cs: list, width: int) -> int:
+    """The integer polynomial cs at t = 2^width."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << width) + c
+    return v
+
+
+def _primitive(p: Polynomial) -> list:
+    """The integer coefficients of p times the positive rational that
+    makes them coprime integers, lowest first."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    cs = [c.numerator * (scale // c.denominator) for c in p.coeffs]
+    content = math.gcd(*cs)
+    return [c // content for c in cs]
+
+
+def _divides(g: list, a: list) -> bool:
+    """Whether the integer polynomial g divides a in Z[t]: long division
+    that stops at the first quotient coefficient that is not an integer."""
+    m = len(g) - 1
+    rem, lead = list(a), g[-1]
+    for k in range(len(a) - 1 - m, -1, -1):
+        q, r = divmod(rem[k + m], lead)
+        if r:
+            return False
+        for j in range(m):
+            rem[k + j] -= q * g[j]
+    return not any(rem[:m])
+
+
+#: evaluation points GCDHEU tries before the Euclidean fallback
+_GCDHEU_TRIES = 6
+
+
+def _heuristic_gcd(a: list, b: list):
+    """The gcd of the primitive integer polynomials a and b, with a
+    positive leading coefficient, or None if every try fails."""
+    norm = min(max(map(abs, a)), max(map(abs, b)))
+    width = (2 * norm + 1).bit_length()             # 2^width >= 2 norm + 2
+    for _ in range(_GCDHEU_TRIES):
+        g = _unpack(math.gcd(_evaluate(a, width), _evaluate(b, width)), width)
+        if len(g) == 1:                 # a constant candidate divides both
+            return [1]
+        content = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+        g = [c // content for c in g]
+        if _divides(g, a) and _divides(g, b):
+            return g
+        width += width // 4 + 2
+    return None
+
+
+def _euclidean_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic gcd of p and q, not both zero, by the Euclidean algorithm
+    over Q: the fallback of ``poly_gcd``."""
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic gcd of p and q; gcd(0, 0) is undefined.
+
+    A zero operand gives the other one, made monic, and a constant
+    operand gives 1.  Otherwise the gcd is the heuristic GCDHEU (Char,
+    Geddes and Gonnet 1989) on integers.  Both operands are scaled to
+    primitive integer polynomials A and B and evaluated at xi = 2^w, the
+    least power of two with xi >= 2 min(|A|_inf, |B|_inf) + 2.  The
+    balanced base-xi digits of gcd(A(xi), B(xi)), divided by their
+    content, are the candidate G.  If G divides A and B in Z[t] it is
+    their gcd; that bound on xi is what makes the check sufficient.  If
+    not, the try is repeated at w + w // 4 + 2, up to 6 tries in all,
+    and then the Euclidean algorithm over Q decides.
+    """
+    if p.is_zero and q.is_zero:
+        raise ValueError("poly_gcd(0, 0) is undefined")
+    if p.is_zero or q.is_zero:
+        return (q if p.is_zero else p).monic()
+    if p.degree == 0 or q.degree == 0:
+        return _ONE
+    g = _heuristic_gcd(_primitive(p), _primitive(q))
+    if g is None:
+        return _euclidean_gcd(p, q)
+    return Polynomial([Fraction(c, g[-1]) for c in g])
 
 
 class RationalFunction:
@@ -250,8 +349,7 @@ class RationalFunction:
                 num, den = num // g, den // g
         lead = den.leading
         if lead != 1:
-            inv = 1 / lead
-            num, den = num * inv, den * inv
+            num, den = Polynomial([c / lead for c in num.coeffs]), den.monic()
         self.num, self.den = num, den
 
     @classmethod

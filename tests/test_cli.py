@@ -203,6 +203,38 @@ class TestErrors:
             main(["det", "x.json", "--mode", "decimal"])
 
 
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, capsys, comrade_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        good = str(comrade_file(support.ZERO_PIVOT4))
+        out_path = tmp_path / "inv.json"
+        calls = [["det", str(bad)], ["det", good, "--mode", "decimal"], ["--help"],
+                 ["det", good], ["inv", good, "-o", str(out_path)], ["check", good]]
+
+        def outcome(argv):
+            try:
+                code = ("returned", main(argv))
+            except SystemExit as exc:
+                code = ("exited", exc.code)
+            out, err = capsys.readouterr()
+            written = out_path.read_text() if out_path.exists() else None
+            out_path.unlink(missing_ok=True)
+            return code, out, err, written
+
+        reused = [outcome(argv) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh
+        assert [code for code, *_ in reused] == [("returned", 2), ("exited", 2), ("exited", 0),
+                                                 ("returned", 0), ("returned", 0),
+                                                 ("returned", 0)]
+        assert reused[4][3] is not None
+
+
 class TestGen:
     def test_example33(self, capsys, tmp_path):
         out_path = tmp_path / "m.json"

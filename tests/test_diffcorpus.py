@@ -60,3 +60,17 @@ def test_cli_records_run(diffcorpus, tmp_path, capsys):
             assert (written is not None) == (code == 0)
         if command == "bench" and code == 0:
             assert written[0] == ["n", "mode", "op_count", "epsilon"]
+
+
+def test_scalar_records_run(diffcorpus, capsys):
+    diffcorpus.scalar_records()
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert all(len(line) == 4 and line[0].startswith("scalars:") for line in lines)
+    values = {}
+    for name, _, entry, value in lines:
+        values.setdefault(entry, []).append(ast.literal_eval(value))
+    assert set(values) == {"poly_gcd", "rf", "rf add", "rf mul", "rf truediv"}
+    gcds = values["poly_gcd"]
+    assert ("ValueError", "poly_gcd(0, 0) is undefined") in gcds      # both operands zero
+    assert any(len(g) > 2 and g[-1] == "1" for g in gcds)            # planted factors found
+    assert any(len(c) > 60 for g in gcds for c in g)                 # coefficients near 2^200

@@ -8,6 +8,7 @@ try:
 except ImportError:                                   # seeded draws instead
     given = None
 
+from comrade import scalars
 from comrade import (PoleAtZeroError, Polynomial, RationalFunction, ScalarMode,
                      format_rational, parse_rational, poly_gcd)
 from comrade.scalars import POLY_T
@@ -142,6 +143,99 @@ class TestPolyGcd:
             g = poly_gcd(a, b)
             assert g.monic() == g
             assert (a % g).is_zero and (b % g).is_zero
+
+
+def euclid_gcd(p, q):
+    """Reference: the monic gcd by the Euclidean algorithm over Q."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def planted_pair(rng, span):
+    """(a, b, g): a and b of degree <= 5 with the common factor g of
+    degree 1-3; Fraction coefficients with numerators up to span."""
+    def poly(degree):
+        cs = [F(rng.randint(-span, span), rng.randint(1, 9)) for _ in range(degree)]
+        return Polynomial(cs + [F(rng.choice((-1, 1)) * rng.randint(1, span), rng.randint(1, 9))])
+    g = poly(rng.randint(1, 3))
+    return g * poly(rng.randint(0, 5 - g.degree)), g * poly(rng.randint(0, 5 - g.degree)), g
+
+
+SPANS = pytest.mark.parametrize("span", (4, 10**6, 2**67, 2**200),
+                                ids=("4", "10^6", "2^67", "2^200"))
+# gcd 2t - 1; the balanced digits at the first xi = 8 give a candidate
+# that does not divide, so a larger xi is tried
+RETRY = (Polynomial((-2, 5, -2)), Polynomial((0, -2, 3, 2)))
+
+
+class TestHeuristicGcd:
+    """``poly_gcd`` (GCDHEU on integers) against the Euclidean reference."""
+
+    @SPANS
+    def test_planted_factors(self, span):
+        rng = random.Random(f"planted:{span}")
+        for _ in range(300):
+            a, b, g = planted_pair(rng, span)
+            got = poly_gcd(a, b)
+            assert got == euclid_gcd(a, b)
+            assert (got % g).is_zero
+
+    @SPANS
+    def test_random_pairs(self, span):
+        rng = random.Random(f"pairs:{span}")
+        for _ in range(300):
+            a, b = (Polynomial([F(rng.randint(-span, span), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, 6))]) for _ in range(2))
+            if not (a.is_zero and b.is_zero):
+                assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+    def test_zero_and_constant_operands(self):
+        rng = random.Random("zero-constant")
+        zero = Polynomial(())
+        for _ in range(100):
+            p = planted_pair(rng, 2**67)[0]
+            c = Polynomial((F(rng.choice((-1, 1)) * rng.randint(1, 2**200), rng.randint(1, 9)),))
+            for a, b in [(p, zero), (zero, p), (p, c), (c, p), (c, zero), (zero, c), (c, c)]:
+                assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+    @SPANS
+    def test_constructor_is_canonical(self, span):
+        rng = random.Random(f"canonical:{span}")
+        for _ in range(200):
+            num, den, _ = planted_pair(rng, span)
+            r = RationalFunction(num, den)
+            assert (r.num.coeffs, r.den.coeffs) == reduced(num, den)
+            assert r.den.leading == 1 and euclid_gcd(r.num, r.den) == Polynomial((1,))
+            assert r.num * den == num * r.den
+
+    def test_retry_after_a_rejected_candidate(self, monkeypatch):
+        a, b = ([int(c) for c in p.coeffs] for p in RETRY)
+
+        def no_fallback(p, q):
+            raise AssertionError("the Euclidean fallback ran")
+
+        monkeypatch.setattr(scalars, "_euclidean_gcd", no_fallback)
+        assert poly_gcd(*RETRY) == Polynomial((F(-1, 2), 1))
+        assert scalars._heuristic_gcd(a, b) == [-1, 2]
+        monkeypatch.setattr(scalars, "_GCDHEU_TRIES", 1)
+        assert scalars._heuristic_gcd(a, b) is None
+
+    def test_euclidean_fallback(self, monkeypatch):
+        rng = random.Random("fallback")
+        calls = []
+        gcd = scalars.poly_gcd
+        monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        monkeypatch.setattr(scalars, "_GCDHEU_TRIES", 0)
+        assert gcd(*RETRY) == Polynomial((F(-1, 2), 1))
+        for _ in range(100):
+            a, b, _ = planted_pair(rng, 2**67)
+            assert scalars._euclidean_gcd(a, b) == gcd(a, b) == euclid_gcd(a, b)
+            calls.clear()
+            r = RationalFunction(a, b)
+            assert len(calls) == 1              # the fallback calls no poly_gcd
+            assert (r.num.coeffs, r.den.coeffs) == reduced(a, b)
 
 
 class TestRationalFunction:

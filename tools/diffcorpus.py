@@ -17,13 +17,17 @@ den.  The ``cli:`` records run ``comrade.cli.main`` in process on a few
 generated, fixture and malformed files, each command in each mode, and
 give its exit code, stdout, stderr and the file it wrote (``bench``
 rows without the wall-time column), with the scratch directory's path
-replaced by ``<tmp>``.  The script is not a test module; pytest does
-not collect it.
+replaced by ``<tmp>``.  The ``scalars:`` records call ``poly_gcd`` and
+the RationalFunction sum, product and quotient on seeded polynomials
+with planted common factors and coefficients up to 2^200, and give
+canonical coefficient tuples.  The script is not a test module; pytest
+does not collect it.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import random
 import sys
 import tempfile
@@ -39,9 +43,9 @@ sys.path[:0] = [str(_ROOT / "tests"), str(_ROOT / "perfbench")]
 import comrade  # noqa: E402
 import support  # noqa: E402
 import workloads  # noqa: E402
-from comrade import (OpCounter, RationalFunction, ScalarMode,  # noqa: E402
-                     Substitution, determinant, factorize, invert,
-                     last_two_columns, remaining_columns)
+from comrade import (OpCounter, Polynomial, RationalFunction,  # noqa: E402
+                     ScalarMode, Substitution, determinant, factorize, invert,
+                     last_two_columns, poly_gcd, remaining_columns)
 from comrade import cli  # noqa: E402
 from comrade.factorization import bumped_beta  # noqa: E402
 from comrade.inversion import lu_columns  # noqa: E402
@@ -229,6 +233,39 @@ def cli_records(tmp):
             cli.ORACLE_LIMIT = oracle_limit
 
 
+def scalar_records():
+    """The ``scalars:`` records.  For each seed: two polynomials a and b
+    of degree <= 5, either of which may be zero, with a common factor g
+    of degree 0-3, their ``poly_gcd``, and the sum, product and quotient
+    of a / (g d1) and b / (g d2)."""
+    def poly(rng, degree, span):
+        # degree -1 is the zero polynomial; otherwise the leading term is nonzero
+        lead = [rng.choice((-1, 1)) * rng.randint(1, span)] if degree >= 0 else []
+        cs = [rng.randint(-span, span) for _ in range(degree)] + lead
+        return Polynomial([Fraction(c, rng.randint(1, 9)) for c in cs])
+
+    def outcome(fn, *args):
+        try:
+            return rec(fn(*args))
+        except (ArithmeticError, ValueError) as exc:
+            return (type(exc).__name__, str(exc))
+
+    line = lambda name, entry, value: print(f"{name}\t-\t{entry}\t{value!r}")
+    for bits in (2, 67, 200):
+        for seed in range(100):
+            name = f"scalars:{bits}:{seed}"
+            rng = random.Random(name)
+            span = 1 << bits
+            g = poly(rng, rng.randint(0, 3), span)
+            a, b, d1, d2 = (g * poly(rng, rng.randint(low, 5 - g.degree), span)
+                            for low in (-1, -1, 0, 0))
+            line(name, "poly_gcd", outcome(lambda p, q: poly_gcd(p, q).coeffs, a, b))
+            f, k = RationalFunction(a, d1), RationalFunction(b, d2)
+            line(name, "rf", rec((f, k)))
+            for op in (operator.add, operator.mul, operator.truediv):
+                line(name, f"rf {op.__name__}", outcome(op, f, k))
+
+
 def main():
     count = 0
     for name, C in inputs():
@@ -237,7 +274,8 @@ def main():
             records(name, C, mode)
     with tempfile.TemporaryDirectory() as tmp:
         cli_records(Path(tmp))
-    print(f"# {count} inputs and the cli records", file=sys.stderr)
+    scalar_records()
+    print(f"# {count} inputs, the cli and the scalars records", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,13 @@ FLOAT-mode results are written as the exact rational value of each
 binary64, so a dense file round-trips losslessly no matter which mode
 produced it.  All validation failures raise MatrixFormatError with a
 diagnostic naming the offending field and index.
+
+The written bytes are those of ``json.dumps(data, indent=2) + "\n"``:
+two-space indentation and one entry per line, the stable byte format.
+They are written without the JSON encoder, whose indenting form is pure
+Python: an ASCII rational string needs no escaping, so each list of
+entries is joined directly and written on its own.  ``dump_dense``
+converts each distinct denominator to a string once per call.
 """
 
 from __future__ import annotations
@@ -82,12 +89,40 @@ def load_comrade(path) -> ComradeMatrix:
                               for f in _COMRADE_FIELDS))
 
 
+def _layout(value: list, indent: str):
+    """The pieces of value, a list of ASCII rational strings or of such
+    lists, as ``json.dumps(indent=2)`` lays it out at the depth of
+    ``indent``: one piece per list of strings."""
+    inner = indent + "  "
+    if not value:
+        yield "[]"
+    elif isinstance(value[0], str):
+        yield f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{indent}]'
+    else:
+        separator = "[\n"
+        for v in value:
+            yield separator + inner
+            yield from _layout(v, inner)
+            separator = ",\n"
+        yield f"\n{indent}]"
+
+
+def _write(path, n: int, fields) -> None:
+    """Write {"n": n, name: value, ..} for the (name, value) pairs of
+    ``fields`` in the byte format of the module docstring, a list of
+    strings at a time, so the text of the file is never held whole."""
+    with Path(path).open("w") as out:
+        out.write(f'{{\n  "n": {n}')
+        for name, value in fields:
+            out.write(f',\n  "{name}": ')
+            out.writelines(_layout(value, "  "))
+        out.write("\n}\n")
+
+
 def dump_comrade(C: ComradeMatrix, path) -> None:
     """Write a comrade-form matrix file."""
-    data = {"n": C.n}
-    for field in _COMRADE_FIELDS:
-        data[field] = [format_rational(v) for v in getattr(C, field)]
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+    _write(path, C.n, [(field, [format_rational(v) for v in getattr(C, field)])
+                       for field in _COMRADE_FIELDS])
 
 
 def load_dense(path) -> DenseMatrix:
@@ -105,8 +140,19 @@ def load_dense(path) -> DenseMatrix:
     return DenseMatrix(n, tuple(out))
 
 
+class _Suffixes(dict):
+    """Denominator q -> "/q", made on first use, with 1 -> "": the
+    ``format_rational`` of p/q is f"{p}{suffix[q]}"."""
+
+    def __missing__(self, q):
+        self[q] = suffix = f"/{q}"
+        return suffix
+
+
 def dump_dense(M: DenseMatrix, path) -> None:
     """Write a dense matrix file; float entries become their exact rationals."""
-    rows = [[format_rational(v if isinstance(v, Fraction) else Fraction(v)) for v in row]
+    suffix = _Suffixes({1: ""})
+    rows = [[f"{v.numerator}{suffix[v.denominator]}"
+             for v in (v if isinstance(v, Fraction) else Fraction(v) for v in row)]
             for row in M.rows]
-    Path(path).write_text(json.dumps({"n": M.n, "rows": rows}, indent=2) + "\n")
+    _write(path, M.n, [("rows", rows)])

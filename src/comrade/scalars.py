@@ -279,9 +279,13 @@ def _heuristic_gcd(a: list, b: list):
     norm = min(max(map(abs, a)), max(map(abs, b)))
     width = (2 * norm + 1).bit_length()             # 2^width >= 2 norm + 2
     for _ in range(_GCDHEU_TRIES):
-        g = _unpack(math.gcd(_evaluate(a, width), _evaluate(b, width)), width)
-        if len(g) == 1:                 # a constant candidate divides both
+        gamma = math.gcd(_evaluate(a, width), _evaluate(b, width))
+        # a common root r has |r| < 1 + norm (Cauchy), so a common factor
+        # G of degree >= 1 has |G(xi)| > xi - 1 - norm, and G(xi) divides
+        # gamma: a gamma no larger leaves only a constant
+        if gamma <= (1 << width) - 1 - norm:
             return [1]
+        g = _unpack(gamma, width)
         content = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
         g = [c // content for c in g]
         if _divides(g, a) and _divides(g, b):
@@ -306,10 +310,12 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     operand gives 1.  Otherwise the gcd is the heuristic GCDHEU (Char,
     Geddes and Gonnet 1989) on integers.  Both operands are scaled to
     primitive integer polynomials A and B and evaluated at xi = 2^w, the
-    least power of two with xi >= 2 min(|A|_inf, |B|_inf) + 2.  The
-    balanced base-xi digits of gcd(A(xi), B(xi)), divided by their
-    content, are the candidate G.  If G divides A and B in Z[t] it is
-    their gcd; that bound on xi is what makes the check sufficient.  If
+    least power of two with xi >= 2 min(|A|_inf, |B|_inf) + 2.  If
+    gcd(A(xi), B(xi)) is at most xi - 1 - min(|A|_inf, |B|_inf), no
+    common factor of degree >= 1 fits in it and the gcd is 1.  Otherwise
+    its balanced base-xi digits, divided by their content, are the
+    candidate G.  If G divides A and B in Z[t] it is their gcd; that
+    bound on xi is what makes the check sufficient.  If
     not, the try is repeated at w + w // 4 + 2, up to 6 tries in all,
     and then the Euclidean algorithm over Q decides.
     """

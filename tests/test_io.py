@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 import support
 from comrade import (DenseMatrix, MatrixFormatError, dump_comrade, dump_dense,
-                     load_comrade, load_dense, random_comrade)
+                     load_comrade, load_dense, make_comrade, random_comrade)
+from comrade.scalars import format_rational
 
 
 class TestComradeRoundTrip:
@@ -58,6 +60,75 @@ class TestDenseRoundTrip:
             for c, v in enumerate(row):
                 assert isinstance(back[r][c], F)
                 assert float(back[r][c]) == v
+
+
+def reference_bytes(data: dict) -> str:
+    """The stable byte format: what the JSON encoder writes with indent 2."""
+    return json.dumps(data, indent=2) + "\n"
+
+
+def dense_reference(M: DenseMatrix) -> str:
+    return reference_bytes({"n": M.n, "rows": [[format_rational(F(v)) for v in row]
+                                               for row in M.rows]})
+
+
+BIG = F(3**400 - 1, 2**520 + 7)                      # 634 and 521 bits
+FLOATS = (0.1, -0.0, 5e-324, 1e308)
+
+
+class TestByteFormat:
+    """Both writers give the bytes of ``json.dumps(data, indent=2) + "\n"``."""
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 2, 3), (4, 5, 6), (7, 8, 9)],
+        [(F(-1, 3), 0, -7), (BIG, -BIG, F(5, 2)), (F(0), 2**600, F(-2**500 - 1, 3))],
+        [FLOATS[:3], FLOATS[1:], (-1e308, 2.5, -5e-324)],
+        [(1, F(1, 3), 0.1), (-0.0, F(-7), -4), (BIG, 1e308, True)],
+        [],
+    ], ids=["n3", "rational-and-big", "float", "mixed", "n0"])
+    def test_dense(self, rows, tmp_path):
+        M = DenseMatrix.from_rows(rows)
+        path = tmp_path / "d.json"
+        dump_dense(M, path)
+        assert path.read_text() == dense_reference(M)
+
+    @pytest.mark.parametrize("C", [
+        support.SAMPLE5, support.ZERO_PIVOT4, random_comrade(9, 3),
+        make_comrade(3, (BIG, 0, -1), (F(-5, 7), 2**512), (-BIG, F(1, 2**600)), (F(-1, 3),)),
+    ], ids=["sample5", "zero_pivot4", "random9", "big"])
+    def test_comrade(self, C, tmp_path):
+        path = tmp_path / "m.json"
+        dump_comrade(C, path)
+        fields = ("beta", "alpha", "gamma", "a")
+        assert path.read_text() == reference_bytes(
+            {"n": C.n, **{f: [format_rational(v) for v in getattr(C, f)] for f in fields}})
+
+    def test_entry_without_a_rational_value_writes_no_file(self, tmp_path):
+        path = tmp_path / "d.json"
+        with pytest.raises(ValueError):
+            dump_dense(DenseMatrix.from_rows([(1, 2), (3, float("nan"))]), path)
+        assert not path.exists()
+
+    def test_consecutive_calls_share_no_denominator_strings(self, tmp_path):
+        # the second matrix repeats one denominator of the first and adds
+        # seven big new ones, 21 kB of strings: the call keeps none of
+        # them once it returns, and each file is written from its own
+        path = tmp_path / "d.json"
+        first = DenseMatrix.from_rows([(F(1, 3), F(2, 9), 1), (F(-4, 3), 0, F(1, 9)),
+                                       (5, F(7, 3), F(-1, 9))])
+        big = [[F(1, 10**3000 + 3 * r + c) for c in range(3)] for r in range(3)]
+        second = DenseMatrix.from_rows([(F(1, 9), F(-2, 7), big[0][0]), big[1], big[2]])
+        dump_dense(first, path)
+        tracemalloc.start()
+        try:
+            dump_dense(second, path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 3000
+        assert path.read_text() == dense_reference(second)
+        dump_dense(first, path)
+        assert path.read_text() == dense_reference(first)
 
 
 class TestMalformed:

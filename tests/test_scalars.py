@@ -222,6 +222,22 @@ class TestHeuristicGcd:
         monkeypatch.setattr(scalars, "_GCDHEU_TRIES", 1)
         assert scalars._heuristic_gcd(a, b) is None
 
+    def test_small_gcd_is_a_constant_on_the_first_try(self, monkeypatch):
+        # t and 3t^2 + t + 2 at xi = 4: gcd(4, 54) = 2, whose balanced
+        # digits read back as t - 2; 2 <= xi - 1 - norm rules out any
+        # common factor of degree >= 1 without a retry
+        monkeypatch.setattr(scalars, "_euclidean_gcd", None)
+        monkeypatch.setattr(scalars, "_GCDHEU_TRIES", 1)
+        assert scalars._heuristic_gcd([0, 1], [2, 1, 3]) == [1]
+        assert poly_gcd(POLY_T, Polynomial((2, 1, 3))) == Polynomial((1,))
+
+    def test_linear_factor_just_above_the_constant_bound(self):
+        # gcd(t - c, (t - c)(t + 1)) evaluates to xi - c, one more than
+        # the largest gcd read as a constant
+        for c in range(1, 70):
+            g = Polynomial((-c, 1))
+            assert poly_gcd(g, g * Polynomial((1, 1))) == g
+
     def test_euclidean_fallback(self, monkeypatch):
         rng = random.Random("fallback")
         calls = []

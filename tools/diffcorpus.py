@@ -14,14 +14,14 @@ generators of ``perfbench/workloads.py``, so both runs see the same
 matrices.  Fractions print as p/q, floats as their hex bit patterns and
 RationalFunctions as the coefficient tuples of their canonical num and
 den.  The ``cli:`` records run ``comrade.cli.main`` in process on a few
-generated, fixture and malformed files, each command in each mode, and
-give its exit code, stdout, stderr and the file it wrote (``bench``
-rows without the wall-time column), with the scratch directory's path
-replaced by ``<tmp>``.  The ``scalars:`` records call ``poly_gcd`` and
-the RationalFunction sum, product and quotient on seeded polynomials
-with planted common factors and coefficients up to 2^200, and give
-canonical coefficient tuples.  The script is not a test module; pytest
-does not collect it.
+generated, fixture, perfbench band and malformed files, each command in
+each mode, and give its exit code, stdout, stderr and the file it wrote
+(``bench`` rows without the wall-time column), with the scratch
+directory's path replaced by ``<tmp>``.  The ``scalars:`` records call
+``poly_gcd`` and the RationalFunction sum, product and quotient on
+seeded polynomials with planted common factors and coefficients up to
+2^200, and give canonical coefficient tuples.  The script is not a test
+module; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -182,6 +182,10 @@ def cli_files(tmp):
         path = tmp / f"{name}.json"
         comrade.dump_comrade(getattr(support, name), path)
         yield f"support:{name}", path, None
+    # a perfbench band: big entries with many distinct denominators
+    path = tmp / "band_64.json"
+    comrade.dump_comrade(workloads.band_matrix(64, random.Random("corpus:cli:64")), path)
+    yield "band:64", path, None
     entries = '"beta": ["1", "1", "1"], "gamma": ["1", "1"], "a": ["1"]'
     malformed = [("not-json", "{"), ("n-2", '{"n": 2}'),
                  ("short-alpha", '{"n": 3, "alpha": ["1"], %s}' % entries),

@@ -66,7 +66,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
-from .scalars import Polynomial, RationalFunction, ScalarMode, _low_digit, _unpack
+from .scalars import Polynomial, RationalFunction, ScalarMode, _integer_form, _low_digit, _unpack
 
 class ZeroPivotError(ArithmeticError):
     """A zero pivot (or zero divisor alpha) in a mode without symbolic rescue."""
@@ -196,19 +196,18 @@ def integer_scaled(C: ComradeMatrix, coefficients=None):
     C' = C diag(c) is C with integer entries.
 
     The entries are rationals.  With ``coefficients`` each entry is a
-    polynomial in t, that function gives its Fraction coefficients, and
-    each entry of C' is the list of its integer coefficients."""
+    polynomial in t, that function gives it as (integer coefficients,
+    denominator), and each entry of C' is the list of its integer
+    coefficients."""
     families = [getattr(C, name) for name in ("beta", "alpha", "gamma", "a")]
     if coefficients is None:
         families = [[v.as_integer_ratio() for v in f] for f in families]
-        den = operator.itemgetter(1)
         scaled = lambda r, c: r[0] * (c // r[1])
     else:
         families = [[coefficients(v) for v in f] for f in families]
-        den = lambda cs: math.lcm(*(v.denominator for v in cs))
-        scaled = lambda cs, c: [v.numerator * (c // v.denominator) for v in cs]
+        scaled = lambda r, c: [v * (c // r[1]) for v in r[0]]
     beta, alpha, gamma, a = families
-    b, al, g, e = ([*map(den, f)] for f in families)
+    b, al, g, e = ([*map(operator.itemgetter(1), f)] for f in families)
     # beta_k and gamma_{k+1} sit in column k, alpha_k in column k+1 and
     # a_m in column n-m+1 of the last row
     scale = [*map(math.lcm, b, [1, *al], [*g, 1], [*reversed(e), 1, 1])]
@@ -218,12 +217,14 @@ def integer_scaled(C: ComradeMatrix, coefficients=None):
 
 
 def _polynomial_coefficients(v):
-    """Coefficients of a SYMBOLIC working entry, which is a polynomial in t."""
+    """(integer coefficients, denominator) of a SYMBOLIC working entry,
+    which is a polynomial in t: ((0, 1), 1) for t."""
     if not isinstance(v, RationalFunction):
-        return (Fraction(v),)
+        p, q = v.as_integer_ratio()
+        return (p,), q
     if v.den != 1:
         raise ValueError(f"working entry {v} is not a polynomial in t")
-    return v.num.coeffs
+    return _integer_form(v.num)
 
 
 def continuants(S: ComradeMatrix, bump=None):

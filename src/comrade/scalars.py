@@ -11,20 +11,33 @@ Representation invariants:
 
 * rationals are ``fractions.Fraction`` (lowest terms, denominator > 0,
   zero is 0/1);
-* ``Polynomial`` stores a tuple of Fraction coefficients, lowest degree
-  first, with no trailing zeros; the zero polynomial is the empty tuple;
+* ``Polynomial`` stores its coefficients as a tuple of integers, lowest
+  degree first, over one positive denominator, with no trailing zeros
+  and gcd(content, denominator) = 1, the content being the gcd of the
+  integers; the zero polynomial is the empty tuple over 1.  So each
+  polynomial has one form, and a monic one has primitive integers (its
+  leading integer is its denominator).  ``coeffs``, the tuple of
+  Fractions, is built when read;
 * ``RationalFunction`` stores a num/den Polynomial pair with
   gcd(num, den) = 1 and a monic den; zero is 0/1.  Reduction happens
   eagerly after every operation, so structural equality is field
   equality.
 
-The constructor skips ``poly_gcd`` when num or den is a constant, since
-the gcd is then 1.  ``poly_gcd`` itself works on integers: it clears
-denominators and finds the gcd from one integer gcd of the two
-polynomials evaluated at a power of two (GCDHEU), checked by trial
-division over Z.  ``_low_digit`` and ``_unpack`` read such an evaluation
-back as polynomial coefficients; ``factorization`` packs its SYMBOLIC
-continuants the same way and reads them with these two functions.
+Arithmetic, ``divmod`` (by pseudo-division), ``monic``, evaluation and
+printing run on the integers, and each result is reduced by one integer
+gcd with its denominator.  A constant Polynomial or RationalFunction
+equals its Fraction value and hashes as it.
+
+The RationalFunction constructor skips ``poly_gcd`` when num or den is a
+constant, since the gcd is then 1.  Otherwise it divides the integers of
+num and den by those of their monic gcd, exactly in Z[t], and makes den
+monic by scaling both by one rational.  ``poly_gcd`` itself works on
+integers: it finds the gcd from one integer gcd of the two primitive
+integer polynomials evaluated at a power of two (GCDHEU), checked by
+trial division over Z.  ``_low_digit`` and ``_unpack`` read such an
+evaluation back as polynomial coefficients; ``factorization`` packs its
+SYMBOLIC continuants the same way and reads them with these two
+functions.
 """
 
 from __future__ import annotations
@@ -67,32 +80,56 @@ class PoleAtZeroError(ArithmeticError):
 
 
 class Polynomial:
-    """Univariate polynomial over Fraction in dense coefficient form.
+    """Univariate polynomial over Q in dense coefficient form.
 
-    ``coeffs[k]`` is the coefficient of t**k.  Instances are immutable by
-    convention; arithmetic returns new objects.
+    ``coeffs[k]`` is the coefficient of t**k, a Fraction.  The
+    polynomial is held as integers over one positive denominator (see the
+    module docstring), and ``coeffs`` is built from them when read.  The
+    constructor takes ints, bools, Fractions, floats or anything else
+    ``Fraction()`` takes; an all-int input builds no Fraction.  Instances
+    are immutable by convention; arithmetic returns new objects.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs, den = list(coeffs), 1
+        if not all(type(c) is int for c in cs):
+            # the lcm of lowest-terms denominators leaves the integers
+            # with no factor in common with it
+            cs = [c if isinstance(c, Fraction) else Fraction(c) for c in cs]
+            den = math.lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._ints, self._den = tuple(cs), den      # a zero has denominator 1
+
+    @classmethod
+    def _of(cls, ints: tuple, den: int = 1) -> "Polynomial":
+        """The polynomial ints / den, which must already be canonical."""
+        p = object.__new__(cls)
+        p._ints, p._den = ints, den
+        return p
+
+    @property
+    def coeffs(self) -> tuple:
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, self._ints))
+        return tuple(Fraction(c, den) for c in self._ints)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self._ints[-1], self._den) if self._ints else Fraction(0)
 
     def _coerced(self, other):
         if isinstance(other, Polynomial):
@@ -101,46 +138,55 @@ class Polynomial:
             return Polynomial((other,))
         return None
 
+    def _plus(self, other, sign: int):
+        """self + sign * other, on the integers over the lcm of the two
+        denominators."""
+        a, b, den = self._ints, other._ints, self._den
+        if other._den != den:
+            den = math.lcm(den, other._den)
+            a = [c * (den // self._den) for c in a]
+            b = [c * (den // other._den) for c in b]
+        out = [*a, *[0] * (len(b) - len(a))]
+        for k, c in enumerate(b):
+            out[k] += sign * c
+        return _reduced(out, den)
+
     def __add__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._of(tuple(-c for c in self._ints), self._den)
 
     def __sub__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return Polynomial(out)
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ci in enumerate(a):
+            if ci:
+                for j, cj in enumerate(b):
+                    out[i + j] += ci * cj
+        return _reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -150,19 +196,22 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        lead = other.leading
-        quot = [Fraction(0)] * max(dd - dv + 1, 0)
-        while len(rem) - 1 >= dv and rem:
-            k = len(rem) - 1 - dv
-            q = rem[-1] / lead
-            quot[k] = q
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] -= q * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(quot), Polynomial(rem)
+        a, b = self._ints, other._ints
+        m, k = len(b) - 1, len(a) - len(b)
+        if k < 0:
+            return _ZERO, self
+        # pseudo-division: lead^(k+1) a = q b + r has q and r in Z[t], so
+        # every quotient coefficient below is an exact integer division
+        lead = b[-1]
+        scale = lead ** (k + 1)
+        rem, quot = [c * scale for c in a], [0] * (k + 1)
+        for i in range(k, -1, -1):
+            q = quot[i] = rem[i + m] // lead
+            for j in range(m):
+                rem[i + j] -= q * b[j]
+        # self = (quot other._den / (scale self._den)) other + rem / (scale self._den)
+        den = scale * self._den
+        return _reduced([q * other._den for q in quot], den), _reduced(rem[:m], den)
 
     def __floordiv__(self, other):
         result = self.__divmod__(other)
@@ -173,38 +222,48 @@ class Polynomial:
         return result if result is NotImplemented else result[1]
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The exact value at x: an int, bool or Fraction, or a float
+        taken at its exact binary value."""
+        if not self._ints:
+            return Fraction(0)
+        # at x = p/q: the sum of c_k p^k q^(d-k), over q^d
+        p, q = x.as_integer_ratio()
+        acc, power = 0, 1
+        for c in reversed(self._ints):
+            acc = acc * p + c * power
+            power *= q
+        return Fraction(acc, power // q * self._den)
 
     def monic(self) -> "Polynomial":
-        if self.is_zero or self.leading == 1:
+        ints = self._ints
+        if not ints or ints[-1] == self._den:
             return self
-        inv = 1 / self.leading
-        return Polynomial(tuple(c * inv for c in self.coeffs))
+        return _reduced(list(ints), ints[-1])
 
     def __eq__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._ints == other._ints and self._den == other._den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its Fraction value, so it hashes as one
+        return hash(self.leading) if len(self._ints) <= 1 else hash(self.coeffs)
 
     def __str__(self):
-        if self.is_zero:
+        ints, den = self._ints, self._den
+        if not ints:
             return "0"
         parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+        for k in range(len(ints) - 1, -1, -1):
+            c = ints[k]
+            if not c:
                 continue
+            mag = abs(c) if den == 1 else Fraction(abs(c), den)
             if k == 0:
-                term = str(abs(c))
+                term = str(mag)
             else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                mag = "" if mag == 1 else f"{mag}*"
                 term = f"{mag}t" if k == 1 else f"{mag}t^{k}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -216,9 +275,25 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _reduced(ints: list, den: int) -> Polynomial:
+    """The canonical polynomial ints / den, for any nonzero den."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _ZERO
+    if den < 0:
+        ints, den = [-c for c in ints], -den
+    if den != 1:
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints, den = [c // g for c in ints], den // g
+    return Polynomial._of(tuple(ints), den)
+
+
 #: The indeterminate t as a polynomial.
 POLY_T = Polynomial((0, 1))
 _ONE = Polynomial((1,))
+_ZERO = Polynomial(())
 
 
 def _low_digit(v: int, width: int) -> int:
@@ -246,13 +321,16 @@ def _evaluate(cs: list, width: int) -> int:
     return v
 
 
+def _integer_form(p: Polynomial) -> tuple:
+    """p as (integer coefficients, denominator), lowest first."""
+    return p._ints, p._den
+
+
 def _primitive(p: Polynomial) -> list:
     """The integer coefficients of p times the positive rational that
     makes them coprime integers, lowest first."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    cs = [c.numerator * (scale // c.denominator) for c in p.coeffs]
-    content = math.gcd(*cs)
-    return [c // content for c in cs]
+    content = math.gcd(*p._ints)
+    return [c // content for c in p._ints] if content != 1 else list(p._ints)
 
 
 def _divides(g: list, a: list) -> bool:
@@ -267,6 +345,18 @@ def _divides(g: list, a: list) -> bool:
         for j in range(m):
             rem[k + j] -= q * g[j]
     return not any(rem[:m])
+
+
+def _exact_quotient(a: list, g: list) -> tuple:
+    """a / g for integer polynomials where g divides a in Z[t]."""
+    m = len(g) - 1
+    rem, lead = list(a), g[-1]
+    quot = [0] * (len(a) - m)
+    for k in range(len(a) - 1 - m, -1, -1):
+        q = quot[k] = rem[k + m] // lead
+        for j in range(m):
+            rem[k + j] -= q * g[j]
+    return tuple(quot)
 
 
 #: evaluation points GCDHEU tries before the Euclidean fallback
@@ -328,7 +418,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     g = _heuristic_gcd(_primitive(p), _primitive(q))
     if g is None:
         return _euclidean_gcd(p, q)
-    return Polynomial([Fraction(c, g[-1]) for c in g])
+    return Polynomial._of(tuple(g), g[-1])           # primitive, with g[-1] > 0
 
 
 class RationalFunction:
@@ -352,10 +442,16 @@ class RationalFunction:
         if num.degree > 0 and den.degree > 0:
             g = poly_gcd(num, den)
             if g.degree > 0:
-                num, den = num // g, den // g
-        lead = den.leading
-        if lead != 1:
-            num, den = Polynomial([c / lead for c in num.coeffs]), den.monic()
+                # g is monic, so its integers G are primitive and divide
+                # both sides' integers in Z[t]; num / den is unchanged
+                # when both are divided by G
+                G = g._ints
+                num = Polynomial._of(_exact_quotient(num._ints, G), num._den)
+                den = Polynomial._of(_exact_quotient(den._ints, G), den._den)
+        lead = den._ints[-1]
+        if lead != den._den:                        # scale both by den._den / lead
+            num = _reduced([c * den._den for c in num._ints], num._den * lead)
+            den = den.monic()
         self.num, self.den = num, den
 
     @classmethod
@@ -423,10 +519,11 @@ class RationalFunction:
     def at_zero(self) -> Fraction:
         """Value at t = 0; raises PoleAtZeroError if the reduced
         denominator vanishes there."""
-        d0 = self.den.coeffs[0]
-        if d0 == 0:
+        num, den = self.num, self.den
+        d0 = den._ints[0]
+        if not d0:
             raise PoleAtZeroError(self)
-        return self.num.coeffs[0] / d0 if self.num.coeffs else Fraction(0)
+        return Fraction(num._ints[0] * den._den, num._den * d0) if num._ints else Fraction(0)
 
     def __eq__(self, other):
         other = self._coerced(other)
@@ -435,21 +532,25 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant equals its Fraction value, so it hashes as one; den
+        # is monic, so a constant den is 1
+        if self.num.degree <= 0 and self.den.degree == 0:
+            return hash(self.num)
+        return hash((self.num.coeffs, self.den.coeffs))
 
     def __bool__(self):
         return not self.is_zero
 
     def __str__(self):
-        # display with integer coefficients: scale num/den by the lcm of
-        # all coefficient denominators, then strip the common content
-        denoms = [c.denominator for c in self.num.coeffs + self.den.coeffs]
-        scale = math.lcm(*denoms) if denoms else 1
-        num, den = self.num * scale, self.den * scale
-        content = math.gcd(*(abs(c.numerator) for c in num.coeffs + den.coeffs))
-        if content > 1:
-            num, den = num * Fraction(1, content), den * Fraction(1, content)
-        if den.degree <= 0:
+        # display with integer coefficients: num and den times the lcm of
+        # their denominators.  These have no common content: a prime of
+        # the lcm misses some integer of the side whose denominator holds
+        # it to the higher power, and den's leading integer is the lcm.
+        num, den = self.num, self.den
+        scale = math.lcm(num._den, den._den)
+        num, den = (Polynomial._of(tuple(c * (scale // p._den) for c in p._ints))
+                    for p in (num, den))
+        if den.degree == 0:
             return f"{num}" if den == 1 else f"({num})/{den}"
         return f"({num})/({den})"
 

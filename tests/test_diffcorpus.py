@@ -74,3 +74,18 @@ def test_scalar_records_run(diffcorpus, capsys):
     assert ("ValueError", "poly_gcd(0, 0) is undefined") in gcds      # both operands zero
     assert any(len(g) > 2 and g[-1] == "1" for g in gcds)            # planted factors found
     assert any(len(c) > 60 for g in gcds for c in g)                 # coefficients near 2^200
+
+
+def test_scalar_form_records_run(diffcorpus, capsys):
+    diffcorpus.scalar_form_records()
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert all(len(line) == 4 and line[0].startswith("scalars:") for line in lines)
+    values = {}
+    for name, _, entry, value in lines:
+        values.setdefault(entry, []).append(ast.literal_eval(value))
+    assert set(values) == {"a str", "a monic", "a(-3/7)", "b str", "b monic", "b(-3/7)",
+                           "divmod", "f str", "f at_zero", "k str", "k at_zero"}
+    assert ("ZeroDivisionError", "polynomial division by zero") in values["divmod"]
+    assert "0" in values["a str"] and any("t^" in s for s in values["b str"])
+    assert any(isinstance(v, tuple) and v[0] == "PoleAtZeroError" for v in values["f at_zero"])
+    assert any(len(c) > 60 for m in values["a monic"] for c in m)     # coefficients near 2^200

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from comrade import (NonFiniteResultError, OpCounter, Polynomial,
                      ZeroPivotError, dense_det, determinant,
                      example33, factorize, make_comrade, random_comrade,
                      reconstruct_LU, to_dense)
-from comrade.factorization import bumped_beta
+from comrade.factorization import _polynomial_coefficients, bumped_beta, integer_scaled
 from comrade.scalars import POLY_T
 
 T = RationalFunction.t()
@@ -79,6 +80,27 @@ class TestFactorizeSymbolic:
         assert Ft.substitutions == (Substitution("pivot", 2),
                                     Substitution("pivot", 4))
         assert Ft.mu[1] == T and Ft.mu[3] == T
+
+    def test_working_entries_read_as_integers(self):
+        # a working entry is (integer coefficients, denominator), and C'
+        # holds c_k times the integers: t is [0, 1], a rational [p] over q
+        assert _polynomial_coefficients(T) == ((0, 1), 1)
+        assert _polynomial_coefficients(F(-3, 4)) == ((-3,), 4)
+        assert _polynomial_coefficients(T * F(2, 3) - 1) == ((-3, 2), 3)
+        with pytest.raises(ValueError):
+            _polynomial_coefficients(1 / T)
+        C = make_comrade(4, [F(1, 2), 2, 3, F(1, 3)], [0, F(3, 4), 5], [1, F(2, 5), 7],
+                         [F(1, 6), 2])
+        scale, S = integer_scaled(replace(C, alpha=(T,) + C.alpha[1:]), _polynomial_coefficients)
+        exact_scale, E = integer_scaled(C)
+        assert scale == exact_scale
+        assert S.alpha[0] == [0, scale[1]]
+        for name in ("beta", "alpha", "gamma", "a"):
+            got, want = getattr(S, name), getattr(E, name)
+            assert all(type(v) is int for cs in got for v in cs)
+            if name == "alpha":
+                got, want = got[1:], want[1:]
+            assert got == tuple([v] for v in want)
 
 
 class TestFactorizeFloat:

@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -416,3 +418,235 @@ class TestScalarMode:
         assert ScalarMode.FLOAT.finalize(0.25) == 0.25
         with pytest.raises(PoleAtZeroError):
             ScalarMode.SYMBOLIC.finalize(RationalFunction(1) / T)
+
+
+# A Fraction-tuple reference for Polynomial and RationalFunction: the
+# arithmetic on tuples of Fraction coefficients, lowest degree first,
+# that the integer form over one denominator must reproduce.
+
+def ref_trim(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + (F(0),) * (n - len(a)), b + (F(0),) * (n - len(b))
+    return ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem, quot = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        q = quot[k] = rem[-1] / b[-1]
+        for j, c in enumerate(b):
+            rem[k + j] -= q * c
+        rem = list(ref_trim(rem))
+    return ref_trim(quot), tuple(rem)
+
+
+def ref_monic(a):
+    return tuple(c / a[-1] for c in a)
+
+
+def ref_eval(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if c == 0:
+            continue
+        if k == 0:
+            term = str(abs(c))
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            term = f"{mag}t" if k == 1 else f"{mag}t^{k}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)
+
+
+def ref_canonical(num, den):
+    """(num, den) of num/den with gcd 1 and a monic den; zero is 0/1."""
+    if not num:
+        return (), (F(1),)
+    a, b = num, den
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    num, den = ref_divmod(num, a)[0], ref_divmod(den, a)[0]
+    return tuple(c / den[-1] for c in num), ref_monic(den)
+
+
+def ref_rf_str(num, den):
+    scale = math.lcm(*(c.denominator for c in num + den))
+    num, den = (tuple(c * scale for c in cs) for cs in (num, den))
+    content = math.gcd(*(c.numerator for c in num + den))
+    num, den = (tuple(c / content for c in cs) for cs in (num, den))
+    if len(den) == 1:
+        return ref_str(num) if den == (1,) else f"({ref_str(num)})/{ref_str(den)}"
+    return f"({ref_str(num)})/({ref_str(den)})"
+
+
+def mixed_coefficient(rng, bits):
+    """An int, a bool, a Fraction, a float or zero, of up to ``bits`` bits."""
+    span = 1 << bits
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-span, span)
+    if kind == 1:
+        return rng.choice((True, False))
+    if kind == 2:
+        return F(rng.randint(-span, span), rng.randint(1, rng.choice((9, span))))
+    if kind == 3:
+        return rng.randint(-2**20, 2**20) * 2.0 ** rng.randint(-40, min(bits, 900))
+    if kind == 4:
+        return rng.choice((-1, 1, F(-1, 2)))
+    return 0
+
+
+def mixed_coefficients(rng, bits, degree=5):
+    """Up to degree + 1 mixed coefficients, maybe none, maybe with
+    trailing zeros."""
+    return [mixed_coefficient(rng, bits) for _ in range(rng.randint(0, degree + 1))]
+
+
+BITS = pytest.mark.parametrize("bits", (3, 40, 230))
+POINTS = (F(-3, 7), 0, 2, -1, F(5, 2**70), True)
+
+
+class TestIntegerForm:
+    """``Polynomial`` and ``RationalFunction`` on integers over one
+    denominator, operation by operation, against the Fraction-tuple
+    reference above."""
+
+    @BITS
+    def test_polynomial_operations(self, bits):
+        rng = random.Random(f"integer-form:{bits}")
+        for _ in range(300):
+            xs, ys = mixed_coefficients(rng, bits), mixed_coefficients(rng, bits)
+            a, b = Polynomial(xs), Polynomial(ys)
+            ra, rb = ref_trim(xs), ref_trim(ys)
+            assert a.coeffs == ra and all(type(c) is F for c in a.coeffs)
+            assert a.degree == len(ra) - 1 and a.is_zero == (not ra)
+            assert a.leading == (ra[-1] if ra else 0) and type(a.leading) is F
+            assert (a + b).coeffs == ref_add(ra, rb)
+            assert (a - b).coeffs == ref_add(ra, rb, -1)
+            assert (-a).coeffs == ref_add((), ra, -1)
+            assert (a * b).coeffs == ref_mul(ra, rb)
+            if rb:
+                q, r = ref_divmod(ra, rb)
+                assert tuple(p.coeffs for p in divmod(a, b)) == (q, r)
+                assert (a // b).coeffs == q and (a % b).coeffs == r
+            else:
+                for op in (divmod, operator.floordiv, operator.mod):
+                    with pytest.raises(ZeroDivisionError):
+                        op(a, b)
+            assert a.monic().coeffs == (ref_monic(ra) if ra else ())
+            for x in POINTS:
+                assert a(x) == ref_eval(ra, x) and type(a(x)) is F
+            assert (a == b) == (ra == rb)
+            assert a == Polynomial(ra) and hash(a) == hash(Polynomial(ra))
+            assert hash(a) == (hash(ra) if len(ra) > 1 else hash(ra[0] if ra else F(0)))
+            assert str(a) == ref_str(ra)
+
+    def test_float_points_are_taken_exactly(self):
+        p = Polynomial((F(1, 3), -2, 5, F(-7, 2**200)))
+        for x in (0.1, -2.5, 1e-30, 3.0):
+            assert p(x) == ref_eval(p.coeffs, F(x)) and type(p(x)) is F
+
+    @BITS
+    def test_polynomial_with_scalar_operands(self, bits):
+        rng = random.Random(f"integer-form-scalars:{bits}")
+        for _ in range(200):
+            xs = mixed_coefficients(rng, bits)
+            a, ra = Polynomial(xs), ref_trim(xs)
+            c = rng.choice((0, 1, -3, rng.randint(-2**bits, 2**bits),
+                            F(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))))
+            rc = ref_trim([c])
+            assert (a + c).coeffs == (c + a).coeffs == ref_add(ra, rc)
+            assert (a - c).coeffs == ref_add(ra, rc, -1)
+            assert (c - a).coeffs == ref_add(rc, ra, -1)
+            assert (a * c).coeffs == (c * a).coeffs == ref_mul(ra, rc)
+            if c:
+                assert (a // c).coeffs == ref_divmod(ra, rc)[0] and (a % c).is_zero
+            assert (a == c) == (ra == rc) == (c == a)
+            if len(ra) <= 1:
+                value = ra[0] if ra else F(0)
+                assert a == value and hash(a) == hash(value)
+
+    def test_equality_with_scalars(self):
+        for value in (0, 3, -7, 2**200, F(1, 2), F(-5, 2**230), True):
+            p, r = Polynomial((value,)), RationalFunction(value)
+            assert p == value and value == p and p == F(value)
+            assert r == value and value == r and r == F(value)
+            assert p != F(value) + 1 and r != F(value) + 1
+            assert p != value + POLY_T and r != T + value
+        assert Polynomial(()) == 0 and Polynomial((0, 0)) == F(0)
+        assert POLY_T != 0 and POLY_T != 1 and T != 0
+
+    def test_constants_hash_as_their_value(self):
+        assert len({Polynomial((3,)), 3}) == 1
+        assert {3: "x"}[Polynomial((3,))] == "x"
+        assert len({RationalFunction(F(1, 2)), F(1, 2)}) == 1
+        assert {F(1, 2): "y"}[RationalFunction(F(1, 2))] == "y"
+        assert {0: "z"}[Polynomial(())] == "z" == {0: "z"}[RationalFunction(0)]
+        for value in (1, -7, 2**200, F(3, 4), F(-5, 2**230), True, 0.5):
+            assert hash(Polynomial((value,))) == hash(RationalFunction(value)) == hash(F(value))
+        # non-constant: the hash of the coefficient tuples
+        assert hash(POLY_T) == hash((F(0), F(1)))
+        assert hash(1 / T) == hash(((F(1),), (F(0), F(1))))
+        assert hash(T + F(1, 2)) == hash(((F(1, 2), F(1)), (F(1),)))
+
+    @BITS
+    def test_rational_function_operations(self, bits):
+        rng = random.Random(f"integer-form-rf:{bits}")
+        for _ in range(150):
+            pairs = []
+            while len(pairs) < 2:
+                num, den = mixed_coefficients(rng, bits, 3), mixed_coefficients(rng, bits, 3)
+                if ref_trim(den):
+                    pairs.append((ref_trim(num), ref_trim(den)))
+            (n1, d1), (n2, d2) = pairs
+            f, k = (RationalFunction(Polynomial(n), Polynomial(d)) for n, d in pairs)
+            rf, rk = ref_canonical(n1, d1), ref_canonical(n2, d2)
+            assert (f.num.coeffs, f.den.coeffs) == rf
+            cases = [(f + k, ref_add(ref_mul(n1, d2), ref_mul(n2, d1)), ref_mul(d1, d2)),
+                     (f - k, ref_add(ref_mul(n1, d2), ref_mul(n2, d1), -1), ref_mul(d1, d2)),
+                     (f * k, ref_mul(n1, n2), ref_mul(d1, d2))]
+            if n2:
+                cases.append((f / k, ref_mul(n1, d2), ref_mul(d1, n2)))
+            for got, num, den in cases:
+                assert (got.num.coeffs, got.den.coeffs) == ref_canonical(num, den)
+            num, den = rf
+            assert str(f) == ref_rf_str(num, den)
+            if den[0] == 0:
+                with pytest.raises(PoleAtZeroError):
+                    f.at_zero()
+            else:
+                assert f.at_zero() == (num[0] if num else 0) / den[0]
+            constant = len(num) <= 1 and den == (1,)
+            assert hash(f) == (hash(num[0] if num else F(0)) if constant else hash((num, den)))
+            assert (f == k) == (rf == rk)

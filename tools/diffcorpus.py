@@ -20,8 +20,11 @@ each mode, and give its exit code, stdout, stderr and the file it wrote
 directory's path replaced by ``<tmp>``.  The ``scalars:`` records call
 ``poly_gcd`` and the RationalFunction sum, product and quotient on
 seeded polynomials with planted common factors and coefficients up to
-2^200, and give canonical coefficient tuples.  The script is not a test
-module; pytest does not collect it.
+2^200, and give canonical coefficient tuples.  Printed last, after
+every other record, are the ``scalars:`` records of the same
+polynomials' str, monic, divmod and value at -3/7, and of the rational
+functions' str and value at t = 0.  The script is not a test module;
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -237,24 +240,17 @@ def cli_records(tmp):
             cli.ORACLE_LIMIT = oracle_limit
 
 
-def scalar_records():
-    """The ``scalars:`` records.  For each seed: two polynomials a and b
-    of degree <= 5, either of which may be zero, with a common factor g
-    of degree 0-3, their ``poly_gcd``, and the sum, product and quotient
-    of a / (g d1) and b / (g d2)."""
+def scalar_inputs():
+    """(name, a, b, f, k) for each seed: two polynomials a and b of
+    degree <= 5, either of which may be zero, with a common factor g of
+    degree 0-3, and the rational functions f = a / (g d1) and
+    k = b / (g d2)."""
     def poly(rng, degree, span):
         # degree -1 is the zero polynomial; otherwise the leading term is nonzero
         lead = [rng.choice((-1, 1)) * rng.randint(1, span)] if degree >= 0 else []
         cs = [rng.randint(-span, span) for _ in range(degree)] + lead
         return Polynomial([Fraction(c, rng.randint(1, 9)) for c in cs])
 
-    def outcome(fn, *args):
-        try:
-            return rec(fn(*args))
-        except (ArithmeticError, ValueError) as exc:
-            return (type(exc).__name__, str(exc))
-
-    line = lambda name, entry, value: print(f"{name}\t-\t{entry}\t{value!r}")
     for bits in (2, 67, 200):
         for seed in range(100):
             name = f"scalars:{bits}:{seed}"
@@ -263,11 +259,47 @@ def scalar_records():
             g = poly(rng, rng.randint(0, 3), span)
             a, b, d1, d2 = (g * poly(rng, rng.randint(low, 5 - g.degree), span)
                             for low in (-1, -1, 0, 0))
-            line(name, "poly_gcd", outcome(lambda p, q: poly_gcd(p, q).coeffs, a, b))
-            f, k = RationalFunction(a, d1), RationalFunction(b, d2)
-            line(name, "rf", rec((f, k)))
-            for op in (operator.add, operator.mul, operator.truediv):
-                line(name, f"rf {op.__name__}", outcome(op, f, k))
+            yield name, a, b, RationalFunction(a, d1), RationalFunction(b, d2)
+
+
+def outcome(fn, *args):
+    try:
+        return rec(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def scalar_line(name, entry, value):
+    print(f"{name}\t-\t{entry}\t{value!r}")
+
+
+def scalar_records():
+    """The ``scalars:`` records of ``poly_gcd`` and the rational
+    functions' sum, product and quotient."""
+    for name, a, b, f, k in scalar_inputs():
+        scalar_line(name, "poly_gcd", outcome(lambda p, q: poly_gcd(p, q).coeffs, a, b))
+        scalar_line(name, "rf", rec((f, k)))
+        for op in (operator.add, operator.mul, operator.truediv):
+            scalar_line(name, f"rf {op.__name__}", outcome(op, f, k))
+
+
+#: the point at which the ``scalars:`` polynomials are evaluated
+_POINT = Fraction(-3, 7)
+
+
+def scalar_form_records():
+    """The ``scalars:`` records of the polynomials' and the rational
+    functions' own forms: str, monic and value at -3/7 of a and b, their
+    divmod, and str and value at t = 0 of f and k."""
+    for name, a, b, f, k in scalar_inputs():
+        for label, p in (("a", a), ("b", b)):
+            scalar_line(name, f"{label} str", str(p))
+            scalar_line(name, f"{label} monic", rec(p.monic().coeffs))
+            scalar_line(name, f"{label}({_POINT})", rec(p(_POINT)))
+        scalar_line(name, "divmod", outcome(lambda p, q: [r.coeffs for r in divmod(p, q)], a, b))
+        for label, r in (("f", f), ("k", k)):
+            scalar_line(name, f"{label} str", str(r))
+            scalar_line(name, f"{label} at_zero", outcome(r.at_zero))
 
 
 def main():
@@ -279,6 +311,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         cli_records(Path(tmp))
     scalar_records()
+    scalar_form_records()
     print(f"# {count} inputs, the cli and the scalars records", file=sys.stderr)
 
 

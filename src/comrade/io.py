@@ -3,11 +3,15 @@
 Comrade form:  {"n": 4, "beta": [...], "alpha": [...], "gamma": [...], "a": [...]}
 Dense form:    {"n": 4, "rows": [["p/q", ...], ...]}
 
-Every entry is a rational string, "p" or "p/q" (ASCII, optional sign).
-FLOAT-mode results are written as the exact rational value of each
-binary64, so a dense file round-trips losslessly no matter which mode
-produced it.  All validation failures raise MatrixFormatError with a
-diagnostic naming the offending field and index.
+Every entry is a rational string, "p" or "p/q" (ASCII, optional sign),
+read and written with any number of digits.  Each distinct string of a
+list or row is parsed once and its repeats share the Fraction: the
+entries of a comrade matrix often repeat, as the coefficients of a
+three-term recurrence or a band drawn from a few values do.  FLOAT-mode
+results are written as the exact rational value of each binary64, so a
+dense file round-trips losslessly no matter which mode produced it.  All
+validation failures raise MatrixFormatError with a diagnostic naming the
+offending field and the first offending index.
 
 The written bytes are those of ``json.dumps(data, indent=2) + "\n"``:
 two-space indentation and one entry per line, the stable byte format.
@@ -40,7 +44,7 @@ def _load_json(path) -> dict:
         raise MatrixFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an int past the int/str digit limit
         raise MatrixFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise MatrixFormatError(f"{path}: expected a JSON object")
@@ -58,16 +62,20 @@ def _order(data, path) -> int:
 
 def _rationals(values: list, where: str) -> tuple:
     """The rational strings of one list or row, parsed; ``where`` names
-    the list in a diagnostic, e.g. "m.json: beta" or "m.json: rows[2]"."""
-    out = []
-    for i, v in enumerate(values):
-        if not isinstance(v, str):
-            raise MatrixFormatError(f"{where}[{i}]: expected a rational string")
-        try:
-            out.append(parse_rational(v))
-        except ValueError as exc:
-            raise MatrixFormatError(f"{where}[{i}]: {exc}") from exc
-    return tuple(out)
+    the list in a diagnostic, e.g. "m.json: beta" or "m.json: rows[2]".
+    Each distinct string is parsed once, in order of first appearance,
+    and its repeats share the Fraction; the first bad entry is named."""
+    if not set(map(type, values)) <= {str}:
+        i = next(i for i, v in enumerate(values) if type(v) is not str)
+        _rationals(values[:i], where)           # a bad literal before it comes first
+        raise MatrixFormatError(f"{where}[{i}]: expected a rational string")
+    parsed = dict.fromkeys(values)
+    try:
+        for v in parsed:
+            parsed[v] = parse_rational(v)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{where}[{values.index(v)}]: {exc}") from exc
+    return tuple(map(parsed.__getitem__, values))
 
 
 def _rational_list(data, field: str, want: int, path) -> tuple:
@@ -152,7 +160,10 @@ class _Suffixes(dict):
 def dump_dense(M: DenseMatrix, path) -> None:
     """Write a dense matrix file; float entries become their exact rationals."""
     suffix = _Suffixes({1: ""})
-    rows = [[f"{v.numerator}{suffix[v.denominator]}"
-             for v in (v if isinstance(v, Fraction) else Fraction(v) for v in row)]
-            for row in M.rows]
+    try:
+        rows = [[f"{v.numerator}{suffix[v.denominator]}"
+                 for v in (v if isinstance(v, Fraction) else Fraction(v) for v in row)]
+                for row in M.rows]
+    except ValueError:                  # an integer past the int/str digit limit
+        rows = [[format_rational(Fraction(v)) for v in row] for row in M.rows]
     _write(path, M.n, [("rows", rows)])

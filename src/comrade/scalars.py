@@ -26,7 +26,8 @@ Representation invariants:
 Arithmetic, ``divmod`` (by pseudo-division), ``monic``, evaluation and
 printing run on the integers, and each result is reduced by one integer
 gcd with its denominator.  A constant Polynomial or RationalFunction
-equals its Fraction value and hashes as it.
+equals its Fraction value and hashes as it, and a RationalFunction
+whose den is 1 hashes as its num.
 
 The RationalFunction constructor skips ``poly_gcd`` when num or den is a
 constant, since the gcd is then 1.  Otherwise it divides the integers of
@@ -61,14 +62,49 @@ def parse_rational(text: str) -> Fraction:
     if not m:
         raise ValueError(f"invalid rational literal {text!r} (want 'p' or 'p/q')")
     try:
-        return Fraction(int(m[1]), int(m[2] or 1))
-    except ZeroDivisionError:
-        raise ValueError(f"invalid rational literal {text!r} (zero denominator)") from None
+        p, q = int(m[1]), int(m[2] or 1)
+    except ValueError:                  # past the int/str digit limit
+        p, q = _decimal_int(m[1]), _decimal_int(m[2] or "1")
+    if not q:
+        raise ValueError(f"invalid rational literal {text!r} (zero denominator)")
+    return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``p`` or ``p/q`` (inverse of parse_rational)."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:                  # past the int/str digit limit
+        p, q = _decimal_str(value.numerator), value.denominator
+        return p if q == 1 else f"{p}/{_decimal_str(q)}"
+
+
+# Python 3.11 and later refuse to convert an int of more than
+# sys.get_int_max_str_digits() decimal digits (4,300 by default) to or
+# from a string.  Matrix files and printed results have no such limit:
+# these two convert a number past it in halves, each within it, and
+# leave the interpreter's setting alone.
+
+def _decimal_int(text: str) -> int:
+    """int(text) for a decimal integer literal, "[+-]?[0-9]+", of any length."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.lstrip("+-")
+        k = len(digits) // 2
+        value = _decimal_int(digits[:-k]) * 10**k + _decimal_int(digits[-k:])
+        return -value if text[0] == "-" else value
+
+
+def _decimal_str(value: int) -> str:
+    """str(value) for an int of any size."""
+    try:
+        return str(value)
+    except ValueError:
+        k = value.bit_length() * 3 // 20            # about half its digits
+        high, low = divmod(abs(value), 10**k)
+        sign = "-" if value < 0 else ""
+        return sign + _decimal_str(high) + _decimal_str(low).zfill(k)
 
 
 class PoleAtZeroError(ArithmeticError):
@@ -532,9 +568,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # a constant equals its Fraction value, so it hashes as one; den
-        # is monic, so a constant den is 1
-        if self.num.degree <= 0 and self.den.degree == 0:
+        # den is monic, so a constant den is 1: the function then equals
+        # its num, a Polynomial or a constant, and hashes as it
+        if self.den.degree == 0:
             return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 

@@ -1,4 +1,5 @@
 import csv
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -6,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 import support
-from comrade import (DenseMatrix, ScalarMode, comrade_times_dense, dense_invert,
-                     example33, invert, load_comrade, load_dense, random_comrade,
-                     to_dense)
+from comrade import (DenseMatrix, ScalarMode, comrade_times_dense, dense_det,
+                     dense_invert, example33, invert, load_comrade, load_dense,
+                     make_comrade, parse_rational, random_comrade, to_dense)
 from comrade import cli
 from comrade.cli import main
 
@@ -48,6 +49,17 @@ class TestDet:
         code, out, _ = run(capsys, "det", str(path), "--mode", "float")
         assert code == 0
         assert float(out) == 5.5
+
+    def test_determinant_past_the_digit_limit(self, capsys, comrade_file):
+        # 2,000-digit entries give a determinant of about 6,000 digits,
+        # past Python's default int/str digit limit of 4,300
+        rng = random.Random("det-digits")
+        big = lambda k: tuple(rng.randrange(10**1999, 10**2000) for _ in range(k))
+        C = make_comrade(3, big(3), big(2), big(2), big(1))
+        code, out, err = run(capsys, "det", str(comrade_file(C)))
+        assert (code, err) == (0, "")
+        assert len(out.strip().lstrip("-")) > 4300
+        assert parse_rational(out.strip()) == dense_det(to_dense(C))
 
     def test_float_overflow_is_an_error(self, capsys, comrade_file):
         path = comrade_file(support.TINY_PIVOT3)

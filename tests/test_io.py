@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 import support
 from comrade import (DenseMatrix, MatrixFormatError, dump_comrade, dump_dense,
                      load_comrade, load_dense, make_comrade, random_comrade)
-from comrade.scalars import format_rational
+from comrade.scalars import format_rational, parse_rational
 
 
 class TestComradeRoundTrip:
@@ -145,6 +146,12 @@ class TestMalformed:
         with pytest.raises(MatrixFormatError, match="not valid JSON"):
             load_comrade(self.write(tmp_path, "{nope"))
 
+    def test_json_number_past_the_digit_limit(self, tmp_path):
+        # Python's JSON decoder refuses an integer of more than 4,300
+        # digits (its default int/str limit) with a plain ValueError
+        with pytest.raises(MatrixFormatError, match="not valid JSON"):
+            load_comrade(self.write(tmp_path, '{"n": 1%s}' % ("0" * 5000)))
+
     def test_not_an_object(self, tmp_path):
         with pytest.raises(MatrixFormatError, match="expected a JSON object"):
             load_comrade(self.write(tmp_path, [1, 2, 3]))
@@ -168,9 +175,19 @@ class TestMalformed:
         with pytest.raises(MatrixFormatError, match="'beta' must have 3 entries, got 2"):
             load_comrade(self.write(tmp_path, payload))
 
-    @pytest.mark.parametrize("entry", ["1.5", "3/0", "x", 7])
-    def test_bad_entry_is_located(self, tmp_path, entry):
-        payload = {"n": 3, "beta": ["1", entry, "1"], "alpha": ["0", "0"],
+    @pytest.mark.parametrize("beta", [
+        *(pytest.param(["1", e, "1"], id=str(e)) for e in ["1.5", "3/0", "x", 7]),
+        # unhashable and non-string entries are refused by type, not by hashing
+        pytest.param(["1", [1], "1"], id="list"),
+        pytest.param(["1", {"p": 1}, "1"], id="object"),
+        pytest.param(["1", None, "1"], id="null"),
+        # a repeated bad literal is named at its first index, and a bad
+        # literal before a non-string entry is named before it
+        pytest.param(["1", "x", "x"], id="repeated"),
+        pytest.param(["1", "x", 7], id="literal-before-type"),
+    ])
+    def test_bad_entry_is_located(self, tmp_path, beta):
+        payload = {"n": 3, "beta": beta, "alpha": ["0", "0"],
                    "gamma": ["0", "0"], "a": ["0"]}
         with pytest.raises(MatrixFormatError, match=r"beta\[1\]"):
             load_comrade(self.write(tmp_path, payload))
@@ -190,3 +207,61 @@ class TestMalformed:
                                     ["6", "7", "8"]]}
         with pytest.raises(MatrixFormatError, match=r"rows\[1\]\[1\]"):
             load_dense(self.write(tmp_path, payload))
+        payload["rows"][1] = ["4", "x", "x"]
+        with pytest.raises(MatrixFormatError, match=r"rows\[1\]\[1\]: invalid rational"):
+            load_dense(self.write(tmp_path, payload))
+
+
+class TestRepeatedLiterals:
+    # equal values written differently, each repeated: each string is
+    # parsed on its own and its repeats share the result
+    POOL = ["1", "+1", " 1", "01", "2/4", "1/2", "-3/9", "-1/3", "0", "-0", "7"]
+
+    def test_comrade_file_loads_as_parsed_entries(self, tmp_path):
+        rng = random.Random("repeated-literals")
+        n = 12
+        fields = {"beta": n, "alpha": n - 1, "gamma": n - 1, "a": n - 2}
+        payload = {"n": n, **{f: [rng.choice(self.POOL) for _ in range(k)]
+                              for f, k in fields.items()}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        C = load_comrade(path)
+        for field in fields:
+            assert getattr(C, field) == tuple(map(parse_rational, payload[field]))
+
+    def test_dense_file_loads_as_parsed_entries(self, tmp_path):
+        rng = random.Random("repeated-dense-literals")
+        rows = [[rng.choice(self.POOL) for _ in range(5)] for _ in range(5)]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"n": 5, "rows": rows}))
+        assert load_dense(path).rows == tuple(tuple(map(parse_rational, row))
+                                              for row in rows)
+
+
+class TestNoDigitLimit:
+    """Entries past Python's int/str digit limit (4,300 digits by
+    default) are read and written like any other."""
+
+    HUGE = F(-(7**6000), 10**4999 + 3)                     # 5,071 and 5,000 digits
+
+    def test_huge_literal_loads(self, tmp_path):
+        literal = "-" + "9" * 5000 + "/" + "1" + "0" * 4999
+        payload = {"n": 3, "beta": ["1", literal, literal], "alpha": ["1", "1"],
+                   "gamma": ["1", "1"], "a": ["1"]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert load_comrade(path).beta[1:] == (F(-(10**5000 - 1), 10**4999),) * 2
+
+    def test_dense_round_trip(self, tmp_path):
+        M = DenseMatrix.from_rows([(self.HUGE, 1, F(1, 3)), (0, -self.HUGE, 2),
+                                   (0.5, 1 / self.HUGE, self.HUGE + 1)])
+        path = tmp_path / "d.json"
+        dump_dense(M, path)
+        assert load_dense(path) == M
+        assert path.read_text() == dense_reference(M)
+
+    def test_comrade_round_trip(self, tmp_path):
+        C = make_comrade(3, (self.HUGE, 1, -1), (2, 1 / self.HUGE), (1, 1), (self.HUGE,))
+        path = tmp_path / "m.json"
+        dump_comrade(C, path)
+        assert load_comrade(path) == C

@@ -1,6 +1,8 @@
 import math
 import operator
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -72,6 +74,42 @@ class TestParseFormat:
         for _ in range(200):
             q = F(rng.randint(-99, 99), rng.randint(1, 99))
             assert parse_rational(format_rational(q)) == q
+
+    # 4,300 is Python's default int/str digit limit, 640 its lowest
+    @pytest.mark.parametrize("limit", [None, 640])
+    @pytest.mark.parametrize("digits", [4300, 4301, 5000, 12001])
+    def test_no_digit_limit(self, digits, limit):
+        rng = random.Random(digits)
+        p_text = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=digits - 1))
+        q_text = "1" + "0" * (digits // 2) + "7"
+        with int_str_digits(0):
+            p, q = int(p_text), int(q_text)
+            values = [F(p), F(-p, q), F(q, p), F(10**digits)]
+            texts = list(map(str, values))
+        with int_str_digits(limit):
+            before = sys.get_int_max_str_digits()
+            for sign in ("", "-", "+"):
+                signed = -p if sign == "-" else p
+                assert parse_rational(f"{sign}{p_text}") == signed
+                assert parse_rational(f" {sign}{p_text}/{q_text}") == F(signed, q)
+            assert parse_rational(f"-{'0' * digits}{q_text}") == -q
+            assert list(map(format_rational, values)) == texts
+            assert texts[0] == p_text and texts[3] == "1" + "0" * digits
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_rational(f"{p_text}/{'0' * digits}")
+            assert sys.get_int_max_str_digits() == before       # left as it was
+
+
+@contextmanager
+def int_str_digits(limit):
+    """The block runs with Python's int/str digit limit set to limit
+    (0: none; None: as it is), and the limit is restored after it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(old if limit is None else limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestPolynomial:
@@ -615,10 +653,13 @@ class TestIntegerForm:
         assert {0: "z"}[Polynomial(())] == "z" == {0: "z"}[RationalFunction(0)]
         for value in (1, -7, 2**200, F(3, 4), F(-5, 2**230), True, 0.5):
             assert hash(Polynomial((value,))) == hash(RationalFunction(value)) == hash(F(value))
-        # non-constant: the hash of the coefficient tuples
+        # non-constant: the hash of the coefficient tuples, and a
+        # rational function with den 1 hashes as its num Polynomial
         assert hash(POLY_T) == hash((F(0), F(1)))
         assert hash(1 / T) == hash(((F(1),), (F(0), F(1))))
-        assert hash(T + F(1, 2)) == hash(((F(1, 2), F(1)), (F(1),)))
+        assert hash(T + F(1, 2)) == hash(Polynomial((F(1, 2), 1)))
+        assert len({POLY_T, RationalFunction.t()}) == 1
+        assert hash(Polynomial((1, 2))) == hash(RationalFunction(Polynomial((1, 2))))
 
     @BITS
     def test_rational_function_operations(self, bits):
@@ -647,6 +688,11 @@ class TestIntegerForm:
                     f.at_zero()
             else:
                 assert f.at_zero() == (num[0] if num else 0) / den[0]
-            constant = len(num) <= 1 and den == (1,)
-            assert hash(f) == (hash(num[0] if num else F(0)) if constant else hash((num, den)))
+            if den != (1,):
+                expected = hash((num, den))
+            elif len(num) > 1:                  # f equals its num Polynomial
+                expected = hash(num)
+            else:                               # f equals a constant
+                expected = hash(num[0] if num else F(0))
+            assert hash(f) == expected
             assert (f == k) == (rf == rk)

@@ -194,7 +194,11 @@ def cli_files(tmp):
                  ("short-alpha", '{"n": 3, "alpha": ["1"], %s}' % entries),
                  ("decimal", '{"n": 3, "alpha": ["1", "1.5"], %s}' % entries),
                  ("non-ascii", '{"n": 3, "alpha": ["1", "\\u0663"], %s}' % entries),
-                 ("unicode-space", '{"n": 3, "alpha": ["1", "\\u30001"], %s}' % entries)]
+                 ("unicode-space", '{"n": 3, "alpha": ["1", "\\u30001"], %s}' % entries),
+                 ("repeated-bad", '{"n": 3, "alpha": ["x", "x"], %s}' % entries),
+                 ("list-entry", '{"n": 3, "alpha": ["1", [1]], %s}' % entries),
+                 ("object-entry", '{"n": 3, "alpha": ["1", {"p": 1}], %s}' % entries),
+                 ("null-entry", '{"n": 3, "alpha": ["1", null], %s}' % entries)]
     for name, text in malformed:
         path = tmp / f"{name}.json"
         path.write_text(text)

@@ -10,8 +10,8 @@ nonzeros, which is the identity S*C = I read one column at a time:
 
 (the a-term drops out for j = n-2).  The recursion divides by alpha_j,
 so in SYMBOLIC mode any exactly-zero alpha_1..alpha_{n-2} is replaced by
-t *before* factorization, and the recursion uses the +t-bumped diagonal
-that the factorization finds, so all recurrences are identities of one
+t *before* factorization, and the recursion reads the +t-bumped
+diagonal off the factors, so all recurrences are identities of one
 coherent perturbed matrix M(t) with M(0) equal to the input.  Evaluating
 at t = 0 then recovers the exact inverse; for a nonsingular input the
 reduced entries provably have no pole at t = 0 (their denominators
@@ -33,13 +33,13 @@ an integer and every division by alpha'_j is exact, so the loop runs no
 gcd.  In SYMBOLIC mode alpha'_j is an integer or c t and the numerator
 is alpha'_j(t) times an adjugate entry in Z[t], so at t = 2^B too
 ``//`` returns the exact packed quotient; nothing is divided in Q[t].
-It starts from the closed-form columns n and n-1 of adj(C') above, so
+It reads C', D_n and the closed-form columns above off the factors, so
 only ``factorization`` knows how the packed integers are laid out.
 ``invert`` needs columns 1 .. n-2 only at t = 0, where entry (i, j) is
 the Fraction c_i adj(C')_ij(0) / D_n(0) of the lowest balanced digits;
 D_n(0) = det(C) c_1 .. c_n, and a zero one is refused there as a
-singular C.  Only the last two columns, and a direct call of
-``remaining_columns``, build the canonical RationalFunctions
+singular C.  Only the last two columns, and ``remaining_columns``
+without ``finalize``, build the canonical RationalFunctions
 c_i adj(C')_ij(t) / D_n(t) from all the digits.
 
 FLOAT solves every column from the LU factors, ``_solve_column``:
@@ -58,8 +58,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
-                            Substitution, ZeroPivotError, continuant_factors,
-                            factorize, pivot_product)
+                            Substitution, ZeroPivotError, factorize,
+                            pivot_product)
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
 from .scalars import RationalFunction, ScalarMode
 
@@ -154,35 +154,30 @@ def _refuse_zero_alpha(C: ComradeMatrix):
             raise ZeroPivotError(j0 + 1, what="alpha")
 
 
-def remaining_columns(col_n, col_n1, C: ComradeMatrix, mode: ScalarMode,
-                      ops: OpCounter | None = None, *, finalize: bool = False):
+def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: bool = False):
     """Columns n-2 down to 1 (returned in that order) via the four-term
-    column recursion, in EXACT or SYMBOLIC mode; FLOAT columns come from
-    ``lu_columns``.  C carries the working entries, including any
-    t-substituted alphas; the +t bumps of the diagonal are found again
-    if C does not carry them.  Both modes raise ZeroPivotError at a zero
-    alpha_j, j <= n-2, before any tally (SYMBOLIC callers pass t there),
-    and SingularMatrixError at a singular C: EXACT always, SYMBOLIC with
-    ``finalize``.
+    column recursion on the EXACT or SYMBOLIC factors F, which hold C'
+    with its bumped diagonal and the unit D_n; FLOAT columns come from
+    ``lu_columns``.  Both modes raise ZeroPivotError at a zero alpha_j,
+    j <= n-2, before any tally (SYMBOLIC callers factorize with t
+    there), and SingularMatrixError at a singular C: EXACT always,
+    SYMBOLIC with ``finalize``.
 
-    ``col_n`` and ``col_n1`` are kept for the signature and not read:
-    the recursion starts from columns n and n-1 of adj(C') in closed
+    The recursion starts from columns n and n-1 of adj(C') in closed
     form (see the module docstring).  The returned Fractions and
     canonical RationalFunctions are those of the recursion on Fractions
-    and RationalFunctions from ``last_two_columns`` of C's factors.
+    and RationalFunctions from ``last_two_columns`` of F.
 
     With ``finalize`` the entries come back passed through
     ``mode.finalize``: in SYMBOLIC mode the Fractions c_i adj_ij(0) / D(0)
     are read off the packed integers and no RationalFunction is built."""
-    if mode is ScalarMode.FLOAT:
+    if F.mode is ScalarMode.FLOAT:
         raise ValueError("remaining_columns runs the exact recursion; "
                          "FLOAT columns come from lu_columns")
     if ops is None:
         ops = OpCounter()
-    n = C.n
-    _refuse_zero_alpha(C)
-    F = continuant_factors(C, mode)
-    C, unit = F.matrix, F.D[-1]
+    C, unit, n = F.matrix, F.D[-1], F.n
+    _refuse_zero_alpha(C)           # a scaled or packed alpha is 0 when alpha is
     cols = []
     prev2, prev1 = col_n, col_n1 = _adjugate_last_two(F)   # Col_{j+2}, Col_{j+1}
     for j in range(n - 2, 0, -1):                     # 1-based column index j
@@ -252,7 +247,7 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
         columns = lu_columns(F, work, ops)
     else:
         # before col_n is finalized: a singular C is refused, not a pole
-        columns = remaining_columns(col_n, col_n1, work, mode, ops, finalize=True)[::-1]
+        columns = remaining_columns(F, ops, finalize=True)[::-1]
     rows = tuple(zip(*columns, map(mode.finalize, col_n1), map(mode.finalize, col_n)))
     if mode is ScalarMode.FLOAT:
         for i0, row in enumerate(rows):

@@ -369,30 +369,21 @@ def _primitive(p: Polynomial) -> list:
     return [c // content for c in p._ints] if content != 1 else list(p._ints)
 
 
-def _divides(g: list, a: list) -> bool:
-    """Whether the integer polynomial g divides a in Z[t]: long division
-    that stops at the first quotient coefficient that is not an integer."""
-    m = len(g) - 1
-    rem, lead = list(a), g[-1]
-    for k in range(len(a) - 1 - m, -1, -1):
-        q, r = divmod(rem[k + m], lead)
-        if r:
-            return False
-        for j in range(m):
-            rem[k + j] -= q * g[j]
-    return not any(rem[:m])
-
-
-def _exact_quotient(a: list, g: list) -> tuple:
-    """a / g for integer polynomials where g divides a in Z[t]."""
+def _exact_quotient(a: list, g: list):
+    """a / g for integer polynomials, or None if g does not divide a in
+    Z[t]: long division that stops at the first quotient coefficient
+    that is not an integer."""
     m = len(g) - 1
     rem, lead = list(a), g[-1]
     quot = [0] * (len(a) - m)
     for k in range(len(a) - 1 - m, -1, -1):
-        q = quot[k] = rem[k + m] // lead
+        r = rem[k + m]
+        q = quot[k] = r // lead
+        if q * lead != r:
+            return None
         for j in range(m):
             rem[k + j] -= q * g[j]
-    return tuple(quot)
+    return None if any(rem[:m]) else tuple(quot)
 
 
 #: evaluation points GCDHEU tries before the Euclidean fallback
@@ -414,7 +405,7 @@ def _heuristic_gcd(a: list, b: list):
         g = _unpack(gamma, width)
         content = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
         g = [c // content for c in g]
-        if _divides(g, a) and _divides(g, b):
+        if _exact_quotient(a, g) is not None and _exact_quotient(b, g) is not None:
             return g
         width += width // 4 + 2
     return None

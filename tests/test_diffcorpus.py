@@ -41,7 +41,7 @@ def test_records_run_in_every_mode(diffcorpus, mode, capsys):
     if mode is not ScalarMode.FLOAT:
         assert ("example33", "remaining_columns finalize=True") in entries
     if mode is ScalarMode.SYMBOLIC:
-        assert ("rescue", "bumped remaining_columns finalize=True") in entries
+        assert ("rescue", "remaining_columns finalize=True") in entries
 
 
 def test_cli_records_run(diffcorpus, tmp_path, capsys):

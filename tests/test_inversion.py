@@ -10,7 +10,7 @@ except ImportError:                                   # fixed seeds instead
     given = None
 
 import support
-from comrade import scalars
+from comrade import factorization, scalars
 from comrade import (DenseMatrix, NonFiniteResultError, OpCounter, Polynomial,
                      RationalFunction, ScalarMode, SingularMatrixError,
                      Substitution, ZeroPivotError,
@@ -65,18 +65,30 @@ class TestInvertFixtures:
         assert res.determinant == 1
         assert res.substitutions == (Substitution("alpha", 1),)
 
+    @pytest.mark.parametrize("C, mode", [
+        (example33(6), ScalarMode.EXACT), (example33(6), ScalarMode.SYMBOLIC),
+        (support.ZERO_PIVOT4, ScalarMode.SYMBOLIC), (support.ALPHA_ZERO4, ScalarMode.SYMBOLIC),
+    ], ids=["example33-exact", "example33-symbolic", "pivot-rescue", "alpha-rescue"])
+    def test_factors_are_built_once(self, C, mode, monkeypatch):
+        # the column recursion reads C' and D_n off the factors of factorize
+        calls = []
+        for name in ("integer_scaled", "continuants"):
+            fn = getattr(factorization, name)
+            monkeypatch.setattr(factorization, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
+        invert(C, mode)
+        assert sorted(calls) == ["continuants", "integer_scaled"]
+
 
 class TestSymbolicColumns:
     """The unevaluated rational-function entries behind the 4x4 fixture."""
 
     def _working(self):
         C = support.ZERO_PIVOT4
-        Ft = factorize(C, ScalarMode.SYMBOLIC)
-        work = replace(C, beta=bumped_beta(Ft, C))
-        return Ft, C, work
+        return factorize(C, ScalarMode.SYMBOLIC), C
 
     def test_last_two_columns_entries(self):
-        Ft, C, _ = self._working()
+        Ft, C = self._working()
         col_n, col_n1 = last_two_columns(Ft, C)
         den = Polynomial((-12, 14))                       # 2(7t - 6)
         assert col_n[3] == RationalFunction(Polynomial((1, 8)), den)
@@ -103,9 +115,8 @@ class TestSymbolicColumns:
         assert tuple(map(str, col_n1)) == support.PROPORTIONAL4_COL_N1_STRS
 
     def test_remaining_columns_entries(self):
-        Ft, C, work = self._working()
-        col_n, col_n1 = last_two_columns(Ft, C)
-        cols = remaining_columns(col_n, col_n1, work, ScalarMode.SYMBOLIC)
+        Ft, _ = self._working()
+        cols = remaining_columns(Ft)
         col2, col1 = cols                                 # n-2 first, then 1
         assert col1[0] == RationalFunction(Polynomial((7,)), Polynomial((-6, 7)))
         assert [c.at_zero() for c in col1] == [F(-7, 6), 1, F(2, 3), F(-11, 6)]
@@ -135,10 +146,10 @@ class TestDegenerateHandling:
         # D(t) != 0, so the columns exist as rational functions, but at
         # t = 0 the finalized ones would divide by D(0) = 0
         C = support.SINGULAR4
-        col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.SYMBOLIC), C)
-        assert len(remaining_columns(col_n, col_n1, C, ScalarMode.SYMBOLIC)) == C.n - 2
+        Ft = factorize(C, ScalarMode.SYMBOLIC)
+        assert len(remaining_columns(Ft)) == C.n - 2
         with pytest.raises(SingularMatrixError, match="matrix is singular"):
-            remaining_columns(col_n, col_n1, C, ScalarMode.SYMBOLIC, finalize=True)
+            remaining_columns(Ft, finalize=True)
 
     def test_singular_found_after_substitution(self):
         # the zero pivot is substituted first; singularity emerges from
@@ -169,20 +180,18 @@ class TestDegenerateHandling:
 
     def test_remaining_columns_refuses_float(self):
         # FLOAT solves columns 1..n-2 from the LU factors instead
-        C = example33(5)
-        col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.FLOAT), C)
         with pytest.raises(ValueError, match="lu_columns"):
-            remaining_columns(col_n, col_n1, C, ScalarMode.FLOAT)
+            remaining_columns(factorize(example33(5), ScalarMode.FLOAT))
 
 
     def test_remaining_columns_refuses_zero_alpha_exact(self):
         # the recursion divides by alpha_2 and alpha_3: the lowest zero one
         # is refused, as invert refuses it, before anything is tallied
         C = make_comrade(5, (1, 2, 3, 4, 5), (1, 0, 0, 1), (1, 1, 1, 1), (1, 1, 1))
-        col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.EXACT), C)
+        Fx = factorize(C, ScalarMode.EXACT)
         ops = OpCounter()
         with pytest.raises(ZeroPivotError) as info:
-            remaining_columns(col_n, col_n1, C, ScalarMode.EXACT, ops)
+            remaining_columns(Fx, ops)
         assert (info.value.index, info.value.what, ops.count) == (2, "alpha", 0)
         assert str(info.value) == "zero alpha at index 2; retry in symbolic mode"
         with pytest.raises(ZeroPivotError) as info:
@@ -193,10 +202,10 @@ class TestDegenerateHandling:
         # a SYMBOLIC caller that does not pass t gets the refusal EXACT
         # gets, not a bare ZeroDivisionError from the recursion
         C = support.ALPHA_ZERO4
-        col_n, col_n1 = last_two_columns(factorize(C, ScalarMode.SYMBOLIC), C)
+        Ft = factorize(C, ScalarMode.SYMBOLIC)
         ops = OpCounter()
         with pytest.raises(ZeroPivotError) as info:
-            remaining_columns(col_n, col_n1, C, ScalarMode.SYMBOLIC, ops)
+            remaining_columns(Ft, ops)
         assert (info.value.index, info.value.what, ops.count) == (1, "alpha", 0)
 
     def test_float_pivot_product_underflow_is_not_singular(self):
@@ -271,8 +280,7 @@ class TestInvertProperties:
     def test_lu_columns_match_recursion_exactly(self):
         for C in (support.SAMPLE5, example33(7), random_comrade(6, 4, 0.0)):
             Fx = factorize(C, ScalarMode.EXACT)
-            col_n, col_n1 = last_two_columns(Fx, C)
-            rest = remaining_columns(col_n, col_n1, C, ScalarMode.EXACT)
+            rest = remaining_columns(Fx)
             assert lu_columns(Fx, C) == list(reversed(rest))
 
     def test_float_overflow_raises(self):
@@ -362,7 +370,7 @@ def symbolic_columns(C):
     Ft = factorize(replace(C, alpha=alpha), ScalarMode.SYMBOLIC)
     work = replace(C, alpha=alpha, beta=bumped_beta(Ft, C))
     col_n, col_n1 = last_two_columns(Ft, work)
-    cols = remaining_columns(col_n, col_n1, work, ScalarMode.SYMBOLIC)
+    cols = remaining_columns(Ft)
     return work, list(reversed(cols)) + [col_n1, col_n]
 
 

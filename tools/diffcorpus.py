@@ -50,7 +50,6 @@ from comrade import (OpCounter, Polynomial, RationalFunction,  # noqa: E402
                      ScalarMode, Substitution, determinant, factorize, invert,
                      last_two_columns, poly_gcd, remaining_columns)
 from comrade import cli  # noqa: E402
-from comrade.factorization import bumped_beta  # noqa: E402
 from comrade.inversion import lu_columns  # noqa: E402
 
 _T = RationalFunction.t()
@@ -130,18 +129,12 @@ def records(name, C, mode):
         line("factorize", ((type(exc).__name__, str(exc)), ops.count))
         return
     line("factorize", (rec((F.mu, F.x, F.substitutions)), ops.count))
-    works = [("", work)]
-    if F.substitutions:
-        works.append(("bumped ", replace(work, beta=bumped_beta(F, work))))
-    for label, M in works:
-        columns = call(last_two_columns, F, M)
-        line(f"{label}last_two_columns", columns)
-        if mode is ScalarMode.FLOAT or not isinstance(columns[0][0], tuple):
-            continue
-        col_n, col_n1 = last_two_columns(F, M)
+    columns = call(last_two_columns, F, work)
+    line("last_two_columns", columns)
+    if mode is not ScalarMode.FLOAT and isinstance(columns[0][0], tuple):
         for finalize in (False, True):
-            line(f"{label}remaining_columns finalize={finalize}",
-                 call(remaining_columns, col_n, col_n1, M, mode, finalize=finalize))
+            line(f"remaining_columns finalize={finalize}",
+                 call(remaining_columns, F, finalize=finalize))
     if mode is not ScalarMode.SYMBOLIC or C.n <= 8:
         line("lu_columns", call(lu_columns, F, work))
 

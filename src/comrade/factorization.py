@@ -25,24 +25,27 @@ reads the last two columns of the inverse off the same integers.  The
 SYMBOLIC determinant runs the same loop: it never divides, so a zero
 pivot needs no t.
 
-In SYMBOLIC mode ``factorize`` replaces an identically-zero pivot by
-the indeterminate t.  Algebraically that is a +t bump of the
-corresponding diagonal entry, i.e. the factors describe a perturbed
-matrix M(t) with M(0) equal to the input; the substitution log records
-which diagonals were bumped.  It runs the same continuants on
-C' = M(t) diag(c), whose entries are integer polynomials in t (a
-substituted alpha is t), by Kronecker substitution: each polynomial
-p(t) is held as the one integer p(2^B).  Evaluation at 2^B is a ring
-homomorphism, so the loop's sums and products stay exact.  A zero D_i
-becomes c_i 2^B D_{i-1}, the D_i of beta'_i + c_i t, so that
-mu_i = t, and C' keeps the bumped beta'_i.  Each continuant and each
-adjugate entry of C' is a minor, a signed sum over permutations, so its
+In SYMBOLIC mode ``factorize`` puts the indeterminate t in place of
+each zero it would divide by, and logs it.  The column recursion of
+``inversion`` divides by alpha_1 .. alpha_{n-2}, so each of them that
+is zero becomes t.  An identically-zero pivot becomes t as well: that
+is a +t bump of the corresponding diagonal entry.  So the factors
+describe a perturbed matrix M(t) with M(0) equal to the input
+(``perturbed``), and the log lists the pivots, then the alphas.  The
+continuants run on C' = M(t) diag(c), whose entries are integer
+polynomials in t, by Kronecker substitution: each polynomial p(t) is
+held as the one integer p(2^B).  Evaluation at 2^B is a ring
+homomorphism, so the loop's sums and products stay exact.  An integer
+packs as itself and a substituted alpha_j as c_{j+1} 2^B.  A zero D_i
+becomes c_i 2^B D_{i-1}, the D_i of beta'_i + c_i t, so that mu_i = t,
+and C' keeps the bumped beta'_i.  Each continuant and each adjugate
+entry of C' is a minor, a signed sum over permutations, so its
 coefficients are at most the product of the rows' sums of
-|coefficient| in absolute value; each row's sum counts a c_k for the
-bump it may get, and B is the bound's bit length plus a sign bit.  So
-the coefficients read back as balanced base-2^B digits, and mu and x
-are built from them when read.  The determinant D_n(0) / (c_1 .. c_n)
-takes the lowest digit of D_n.
+|coefficient| in absolute value; each row's sum counts the c_{j+1} of
+a substituted alpha and a c_k for the bump it may get, and B is the
+bound's bit length plus a sign bit.  So the coefficients read back as
+balanced base-2^B digits, and mu and x are built from them when read.
+The determinant D_n(0) / (c_1 .. c_n) takes the lowest digit of D_n.
 
 EXACT and FLOAT modes raise ``ZeroPivotError`` instead, except for the
 last pivot: nothing in the recurrences divides by mu_n, a zero there
@@ -66,7 +69,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
-from .scalars import Polynomial, RationalFunction, ScalarMode, _integer_form, _low_digit, _unpack
+from .scalars import Polynomial, RationalFunction, ScalarMode, _low_digit, _unpack
 
 class ZeroPivotError(ArithmeticError):
     """A zero pivot (or zero divisor alpha) in a mode without symbolic rescue."""
@@ -110,8 +113,8 @@ class LUFactors:
     (n-1 values), the substitution log, and the mode the run used.
 
     Together with the source matrix's alpha and gamma these determine L
-    and U; L*U reconstructs the input up to the logged +t diagonal
-    bumps.  In EXACT/FLOAT mode ``mu[-1]`` may be zero: that marks a
+    and U; L*U is ``perturbed``, the input with t at each logged
+    substitution.  In EXACT/FLOAT mode ``mu[-1]`` may be zero: that marks a
     singular matrix and blocks inversion, not the determinant.  EXACT
     and SYMBOLIC factors keep the integer continuants instead and build
     mu and x from them on first read.
@@ -133,7 +136,7 @@ class LUFactors:
 
 class _ContinuantFactors(LUFactors):
     """EXACT and SYMBOLIC factors held as the integer data of the module
-    docstring: the column scales c, C' with its bumped diagonal,
+    docstring: the column scales c, C' (of M(t) in SYMBOLIC mode),
     D = [D_0, .., D_n] and X = [X_1, .., X_{n-1}], all packed at
     t = 2^width in SYMBOLIC mode.  mu and x are built from them on first
     read."""
@@ -191,21 +194,12 @@ class _ContinuantFactors(LUFactors):
         return [Fraction(c * v, d) for c, v in zip(scale, adj)]
 
 
-def integer_scaled(C: ComradeMatrix, coefficients=None):
-    """(c, C'): c_k is the lcm of the denominators in column k of C, and
-    C' = C diag(c) is C with integer entries.
-
-    The entries are rationals.  With ``coefficients`` each entry is a
-    polynomial in t, that function gives it as (integer coefficients,
-    denominator), and each entry of C' is the list of its integer
-    coefficients."""
-    families = [getattr(C, name) for name in ("beta", "alpha", "gamma", "a")]
-    if coefficients is None:
-        families = [[v.as_integer_ratio() for v in f] for f in families]
-        scaled = lambda r, c: r[0] * (c // r[1])
-    else:
-        families = [[coefficients(v) for v in f] for f in families]
-        scaled = lambda r, c: [v * (c // r[1]) for v in r[0]]
+def integer_scaled(C: ComradeMatrix):
+    """(c, C'): c_k is the lcm of the denominators in column k of the
+    rational C, and C' = C diag(c) is C with integer entries."""
+    families = [[v.as_integer_ratio() for v in getattr(C, name)]
+                for name in ("beta", "alpha", "gamma", "a")]
+    scaled = lambda r, c: r[0] * (c // r[1])
     beta, alpha, gamma, a = families
     b, al, g, e = ([*map(operator.itemgetter(1), f)] for f in families)
     # beta_k and gamma_{k+1} sit in column k, alpha_k in column k+1 and
@@ -214,17 +208,6 @@ def integer_scaled(C: ComradeMatrix, coefficients=None):
     return scale, ComradeMatrix(
         C.n, tuple(map(scaled, beta, scale)), tuple(map(scaled, alpha, scale[1:])),
         tuple(map(scaled, gamma, scale)), tuple(map(scaled, a, scale[C.n - 3::-1])))
-
-
-def _polynomial_coefficients(v):
-    """(integer coefficients, denominator) of a SYMBOLIC working entry,
-    which is a polynomial in t: ((0, 1), 1) for t."""
-    if not isinstance(v, RationalFunction):
-        p, q = v.as_integer_ratio()
-        return (p,), q
-    if v.den != 1:
-        raise ValueError(f"working entry {v} is not a polynomial in t")
-    return _integer_form(v.num)
 
 
 def continuants(S: ComradeMatrix, bump=None):
@@ -257,29 +240,30 @@ def continuants(S: ComradeMatrix, bump=None):
 
 def continuant_factors(C: ComradeMatrix, mode: ScalarMode) -> _ContinuantFactors:
     """The factors of C' = C diag(c) as its continuants: on integers in
-    EXACT mode.  In SYMBOLIC mode C' holds the integer polynomials p(t)
-    of C diag(c) as the integers p(2^width), with the width of the module
-    docstring, and each zero D_i is bumped by c_i t and logged as a pivot
-    substitution."""
+    EXACT mode.  In SYMBOLIC mode C' is M(t) diag(c), packed at
+    t = 2^width with the width of the module docstring: each zero
+    alpha_j, j <= n - 2, is c_{j+1} t, and each zero D_i is bumped by
+    c_i t.  The log lists the pivot substitutions, then the alpha ones."""
+    scale, S = integer_scaled(C)
     if mode is ScalarMode.EXACT:
-        scale, S = integer_scaled(C)
         D, X, _ = continuants(S)
         return _ContinuantFactors(mode, (), scale, S, D, X, 0)
-    scale, S = integer_scaled(C, _polynomial_coefficients)
-    rows = [(S.beta[i0], S.alpha[i0], *S.gamma[i0 - 1:i0]) for i0 in range(C.n - 1)]
+    n = C.n
+    # c_{j+1}, the coefficient of t at a zero alpha_j with j <= n - 2, else 0
+    t_alpha = [scale[j] if j < n - 1 and not v else 0 for j, v in enumerate(S.alpha, 1)]
+    rows = [(S.beta[i0], S.alpha[i0], t_alpha[i0], *S.gamma[i0 - 1:i0]) for i0 in range(n - 1)]
     rows.append((S.beta[-1], S.gamma[-1], *S.a))
-    bound = math.prod(c + sum(abs(v) for cs in row for v in cs) for c, row in zip(scale, rows))
+    bound = math.prod(c + sum(map(abs, row)) for c, row in zip(scale, rows))
     width = bound.bit_length() + 1
-    pack = lambda cs: sum(v << (width * k) for k, v in enumerate(cs))
-    S = replace(S, **{name: tuple(map(pack, getattr(S, name)))
-                      for name in ("beta", "alpha", "gamma", "a")})
+    S = replace(S, alpha=tuple(v + (c << width) for v, c in zip(S.alpha, t_alpha)))
     bump = [c << width for c in scale]                  # c_i t at t = 2^width
     D, X, zeros = continuants(S, bump)
     beta = list(S.beta)
     for i in zeros:
         beta[i - 1] += bump[i - 1]
-    return _ContinuantFactors(mode, tuple(Substitution("pivot", i) for i in zeros), scale,
-                              replace(S, beta=tuple(beta)), D, X, width)
+    log = (*(Substitution("pivot", i) for i in zeros),
+           *(Substitution("alpha", j) for j, c in enumerate(t_alpha, 1) if c))
+    return _ContinuantFactors(mode, log, scale, replace(S, beta=tuple(beta)), D, X, width)
 
 
 def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) -> LUFactors:
@@ -287,7 +271,10 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
 
     Cost: 6n - 9 field operations when no substitution fires.  That is
     the paper's count, tallied in every mode; EXACT and SYMBOLIC run the
-    recurrences as integer continuants (see the module docstring).
+    recurrences as integer continuants (see the module docstring).  The
+    entries of C are rationals.  SYMBOLIC factors are those of M(t), with
+    t at each zero pivot and each zero alpha_j, j <= n - 2, and log both
+    kinds of substitution, pivots first.
     """
     n = C.n
     if ops is None:
@@ -350,39 +337,46 @@ def determinant(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None
     return det
 
 
-def bumped_beta(F: LUFactors, C: ComradeMatrix) -> tuple:
-    """C's diagonal in F's working scalars, with +t at each substituted
-    pivot: the diagonal of the matrix the factors actually describe."""
+def perturbed(F: LUFactors, C: ComradeMatrix) -> ComradeMatrix:
+    """The matrix M(t) that F factors, for F = factorize(C, mode): C in
+    F's working scalars, with t at each logged alpha and +t on the
+    diagonal at each logged pivot.  EXACT and FLOAT factors log nothing,
+    so there it is C itself."""
     w = F.mode.scalar
-    beta = [w(v) for v in C.beta]
+    beta, alpha, gamma, a = ([w(v) for v in getattr(C, name)]
+                             for name in ("beta", "alpha", "gamma", "a"))
+    t = RationalFunction.t()
     for kind, index in F.substitutions:
         if kind == "pivot":
-            beta[index - 1] = beta[index - 1] + RationalFunction.t()
-    return tuple(beta)
+            beta[index - 1] = beta[index - 1] + t
+        else:
+            alpha[index - 1] = t
+    return ComradeMatrix(C.n, tuple(beta), tuple(alpha), tuple(gamma), tuple(a))
 
 
 def reconstruct_LU(F: LUFactors, C: ComradeMatrix):
-    """Materialize (L, U) as DenseMatrix pairs for verification.
+    """Materialize (L, U) as DenseMatrix pairs for verification, for
+    F = factorize(C, mode).
 
-    L*U equals the dense form of C, except that each logged pivot
-    substitution bumps the matching diagonal entry by t (in EXACT/FLOAT
-    mode there are never substitutions, so L*U == to_dense(C) up to
-    roundoff in FLOAT).
+    L*U equals ``to_dense(perturbed(F, C))``: in EXACT/FLOAT mode there
+    are never substitutions, so L*U == to_dense(C), up to roundoff in
+    FLOAT.
     """
     n = C.n
+    M = perturbed(F, C)
     w = F.mode.scalar
     one, zero = w(1), w(0)
     lower = [[zero] * n for _ in range(n)]
     for i in range(n - 1):
         lower[i][i] = one
         if i > 0:
-            lower[i][i - 1] = w(C.gamma[i - 1]) / F.mu[i - 1]   # gamma_{i+1} / mu_i
+            lower[i][i - 1] = M.gamma[i - 1] / F.mu[i - 1]   # gamma_{i+1} / mu_i
     lower[n - 1][: n - 1] = list(F.x)
     lower[n - 1][n - 1] = one
     upper = [[zero] * n for _ in range(n)]
     for i in range(n):
         upper[i][i] = F.mu[i]
         if i < n - 1:
-            upper[i][i + 1] = w(C.alpha[i])
+            upper[i][i + 1] = M.alpha[i]
     return (DenseMatrix(n, tuple(tuple(r) for r in lower)),
             DenseMatrix(n, tuple(tuple(r) for r in upper)))

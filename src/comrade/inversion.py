@@ -9,9 +9,9 @@ nonzeros, which is the identity S*C = I read one column at a time:
         + a_{n-j} Col_n = E_{j+1}
 
 (the a-term drops out for j = n-2).  The recursion divides by alpha_j,
-so in SYMBOLIC mode any exactly-zero alpha_1..alpha_{n-2} is replaced by
-t *before* factorization, and the recursion reads the +t-bumped
-diagonal off the factors, so all recurrences are identities of one
+so in SYMBOLIC mode ``factorize`` puts t at any exactly-zero
+alpha_1..alpha_{n-2}, as at a zero pivot, and logs it.  The recursion
+reads that C' off the factors, so all recurrences are identities of one
 coherent perturbed matrix M(t) with M(0) equal to the input.  Evaluating
 at t = 0 then recovers the exact inverse; for a nonsingular input the
 reduced entries provably have no pole at t = 0 (their denominators
@@ -55,15 +55,13 @@ SYMBOLIC keep the paper's recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
-                            Substitution, ZeroPivotError, factorize,
+                            ZeroPivotError, factorize, perturbed,
                             pivot_product)
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
-from .scalars import RationalFunction, ScalarMode
-
-_T = RationalFunction.t()
+from .scalars import ScalarMode
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,8 @@ def last_two_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = Non
 
     EXACT and SYMBOLIC read them off the continuants of F in closed form
     (see the module docstring).  FLOAT runs ``_solve_column`` for each,
-    so there C must be the matrix F was computed from (same working
-    entries): its superdiagonal is the one sitting along U.  EXACT and
+    so there C must be the matrix F was computed from: its superdiagonal
+    is the one sitting along U.  EXACT and
     FLOAT factors of a singular matrix raise SingularMatrixError.
     """
     if ops is None:
@@ -157,10 +155,10 @@ def _refuse_zero_alpha(C: ComradeMatrix):
 def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: bool = False):
     """Columns n-2 down to 1 (returned in that order) via the four-term
     column recursion on the EXACT or SYMBOLIC factors F, which hold C'
-    with its bumped diagonal and the unit D_n; FLOAT columns come from
-    ``lu_columns``.  Both modes raise ZeroPivotError at a zero alpha_j,
-    j <= n-2, before any tally (SYMBOLIC callers factorize with t
-    there), and SingularMatrixError at a singular C: EXACT always,
+    (of M(t) in SYMBOLIC mode) and the unit D_n; FLOAT columns come from
+    ``lu_columns``.  EXACT factors raise ZeroPivotError at a zero
+    alpha_j, j <= n-2, before any tally; SYMBOLIC factors hold t there.
+    Both raise SingularMatrixError at a singular C: EXACT always,
     SYMBOLIC with ``finalize``.
 
     The recursion starts from columns n and n-1 of adj(C') in closed
@@ -177,7 +175,7 @@ def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: b
     if ops is None:
         ops = OpCounter()
     C, unit, n = F.matrix, F.D[-1], F.n
-    _refuse_zero_alpha(C)           # a scaled or packed alpha is 0 when alpha is
+    _refuse_zero_alpha(C)           # EXACT: a scaled alpha is 0 when alpha is
     cols = []
     prev2, prev1 = col_n, col_n1 = _adjugate_last_two(F)   # Col_{j+2}, Col_{j+1}
     for j in range(n - 2, 0, -1):                     # 1-based column index j
@@ -197,17 +195,17 @@ def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: b
 def lu_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
     """Columns 1 .. n-2 of the inverse (returned in that order), each
     solved from L U s = e_j with the factors F of C by ``_solve_column``,
-    as the last two columns are."""
+    as the last two columns are.  It reads alpha and gamma off
+    ``perturbed(F, C)``."""
     if ops is None:
         ops = OpCounter()
     n = len(F.mu)
-    w = F.mode.scalar
-    alpha = [w(v) for v in C.alpha]
-    ell = [None] + [w(C.gamma[k0 - 1]) / F.mu[k0 - 1] for k0 in range(1, n - 1)]
+    M = perturbed(F, C)
+    ell = [None] + [M.gamma[k0 - 1] / F.mu[k0 - 1] for k0 in range(1, n - 1)]
     ops.tally(n - 2)
     cols = []
     for j0 in range(n - 2):
-        cols.append(_solve_column(F, alpha, ell, j0))
+        cols.append(_solve_column(F, M.alpha, ell, j0))
         ops.tally(6 * n - 8 - 4 * j0)
     return cols
 
@@ -219,7 +217,9 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     SingularMatrixError where the last pivot would be divided by: in the
     last two columns in EXACT (D_n = 0) and FLOAT (mu_n = 0), in the
     recursion at t = 0 in SYMBOLIC (D_n(0) = 0).  So a FLOAT pivot
-    product that only underflows to 0.0 is not singular.
+    product that only underflows to 0.0 is not singular.  The phases
+    read C itself; the substitution log is ``factorize``'s, pivots
+    first, then alphas.
 
     EXACT and SYMBOLIC take 7n^2 - 5n - 11 field operations when nothing
     is degenerate: 6n - 9 to factorize, n - 1 for the determinant, 4n - 1
@@ -231,20 +231,12 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     backward pass, 6n - 4 - 4j in all; the sum over j is 4n^2 - 10n + 4.
     """
     ops = OpCounter()
-
-    # each phase converts the entries it reads to the mode's scalars
-    work, alpha_subs = C, []
-    if mode is ScalarMode.SYMBOLIC:
-        # only alpha_1..alpha_{n-2} are ever divided by; alpha_{n-1} stays
-        alpha_subs = [Substitution("alpha", j0 + 1) for j0, v in enumerate(C.alpha[:-1]) if v == 0]
-        work = replace(C, alpha=tuple(_T if v == 0 else v for v in C.alpha[:-1]) + C.alpha[-1:])
-
-    F = factorize(work, mode, ops)
+    F = factorize(C, mode, ops)
     det = pivot_product(F, ops)
-    col_n, col_n1 = last_two_columns(F, work, ops)
+    col_n, col_n1 = last_two_columns(F, C, ops)
     if mode is ScalarMode.FLOAT:
         _refuse_zero_alpha(C)                   # a policy: lu_columns never divides by alpha
-        columns = lu_columns(F, work, ops)
+        columns = lu_columns(F, C, ops)
     else:
         # before col_n is finalized: a singular C is refused, not a pole
         columns = remaining_columns(F, ops, finalize=True)[::-1]
@@ -257,5 +249,5 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
         if not math.isfinite(det):
             raise NonFiniteResultError("determinant")
     return InverseResult(inverse=DenseMatrix(C.n, rows), determinant=det,
-                         substitutions=tuple(F.substitutions) + tuple(alpha_subs),
+                         substitutions=F.substitutions,
                          op_count=ops.count)

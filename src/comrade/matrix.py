@@ -37,8 +37,9 @@ class ComradeMatrix:
     a      extra last-row coefficients in increasing subscript order
            (a_3 .. a_n), length n-2
 
-    Entries are any field scalars.  Data matrices hold Fractions; the
-    symbolic solver builds working copies holding RationalFunctions.
+    Entries are any field scalars.  Data matrices hold Fractions;
+    ``factorization.perturbed`` builds the perturbed matrix M(t) of the
+    symbolic rescue, holding RationalFunctions.
     """
 
     n: int

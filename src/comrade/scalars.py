@@ -357,11 +357,6 @@ def _evaluate(cs: list, width: int) -> int:
     return v
 
 
-def _integer_form(p: Polynomial) -> tuple:
-    """p as (integer coefficients, denominator), lowest first."""
-    return p._ints, p._den
-
-
 def _primitive(p: Polynomial) -> list:
     """The integer coefficients of p times the positive rational that
     makes them coprime integers, lowest first."""

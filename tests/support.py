@@ -68,14 +68,14 @@ ZERO_PIVOT4_INVERSE = frows([
 # gamma_4 = beta_3, beta_4 = alpha_3) while pivots 1..3 stay nonzero,
 # so exact mode reaches mu_4 = 0 and reports determinant 0.
 SINGULAR4 = make_comrade(4, (1, 3, 2, 2), (1, 1, 2), (1, 1, 2), (1, 0))
+# Columns n and n-1 of the inverse of M(t) behind SINGULAR4's SYMBOLIC
+# factors (pivot 4 bumped), checked against the dense oracle at t = 2/7:
+# the column n-1 entries carry the bumped beta_4 + t.
+SINGULAR4_COL_N_STRS = ("(-2)/(3*t)", "(2)/(3*t)", "(-4)/(3*t)", "(1)/(t)")
+SINGULAR4_COL_N1_STRS = ("(t + 2)/(3*t)", "(-t - 2)/(3*t)", "(2*t + 4)/(3*t)", "(-1)/(t)")
 
 # Rows 1 and 2 coincide: the zero appears at pivot 2, not pivot 1.
 PROPORTIONAL4 = make_comrade(4, (1, 2, 1, 1), (2, 0, 1), (1, 1, 1), (1, 1))
-# Columns n and n-1 of the inverse of M(t) behind PROPORTIONAL4's
-# SYMBOLIC factors (pivots 2 and 4 bumped), frozen from the solve on
-# RationalFunctions: the (3, n-1) entry carries the bumped beta_4 + t.
-PROPORTIONAL4_COL_N_STRS = ("0", "0", "(-1)/(t)", "(1)/(t)")
-PROPORTIONAL4_COL_N1_STRS = ("0", "0", "(t + 1)/(t)", "(-1)/(t)")
 
 # Nonsingular with an interior alpha_1 = 0: inversion must take the
 # alpha-substitution branch (or refuse, outside the symbolic mode).

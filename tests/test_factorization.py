@@ -11,7 +11,7 @@ from comrade import (NonFiniteResultError, OpCounter, Polynomial,
                      ZeroPivotError, dense_det, determinant,
                      example33, factorize, make_comrade, random_comrade,
                      reconstruct_LU, to_dense)
-from comrade.factorization import _polynomial_coefficients, bumped_beta, integer_scaled
+from comrade.factorization import integer_scaled, perturbed
 from comrade.scalars import POLY_T
 
 T = RationalFunction.t()
@@ -74,33 +74,30 @@ class TestFactorizeSymbolic:
         assert tuple(m.at_zero() for m in Ft.mu) == support.SAMPLE5_MU
 
     def test_interior_pivot_substitution(self):
-        # mu_2 vanishes first; the matrix is singular, so mu_4 reduces to
-        # the zero function as well and is substituted too
+        # mu_2 vanishes first, and alpha_2 = 0 is t, which gives mu_3 = 0
+        # as well; both are substituted, then the alpha is logged
         Ft = factorize(support.PROPORTIONAL4, ScalarMode.SYMBOLIC)
-        assert Ft.substitutions == (Substitution("pivot", 2),
-                                    Substitution("pivot", 4))
-        assert Ft.mu[1] == T and Ft.mu[3] == T
+        assert Ft.substitutions == (Substitution("pivot", 2), Substitution("pivot", 3),
+                                    Substitution("alpha", 2))
+        assert Ft.mu[1] == T and Ft.mu[2] == T
 
     def test_working_entries_read_as_integers(self):
-        # a working entry is (integer coefficients, denominator), and C'
-        # holds c_k times the integers: t is [0, 1], a rational [p] over q
-        assert _polynomial_coefficients(T) == ((0, 1), 1)
-        assert _polynomial_coefficients(F(-3, 4)) == ((-3,), 4)
-        assert _polynomial_coefficients(T * F(2, 3) - 1) == ((-3, 2), 3)
-        with pytest.raises(ValueError):
-            _polynomial_coefficients(1 / T)
+        # C' holds c_2 t at the zero alpha_1, packed as c_2 2^B, and the
+        # integers of the EXACT C' = C diag(c) elsewhere
         C = make_comrade(4, [F(1, 2), 2, 3, F(1, 3)], [0, F(3, 4), 5], [1, F(2, 5), 7],
                          [F(1, 6), 2])
-        scale, S = integer_scaled(replace(C, alpha=(T,) + C.alpha[1:]), _polynomial_coefficients)
-        exact_scale, E = integer_scaled(C)
-        assert scale == exact_scale
-        assert S.alpha[0] == [0, scale[1]]
-        for name in ("beta", "alpha", "gamma", "a"):
-            got, want = getattr(S, name), getattr(E, name)
-            assert all(type(v) is int for cs in got for v in cs)
-            if name == "alpha":
-                got, want = got[1:], want[1:]
-            assert got == tuple([v] for v in want)
+        Ft = factorize(C, ScalarMode.SYMBOLIC)
+        assert Ft.substitutions == (Substitution("alpha", 1),)
+        scale, E = integer_scaled(C)
+        S = Ft.matrix
+        assert Ft.scale == scale
+        assert S.alpha[0] == scale[1] << Ft.width
+        assert S == replace(E, alpha=(S.alpha[0],) + E.alpha[1:])
+        assert all(type(v) is int for name in ("beta", "alpha", "gamma", "a")
+                   for v in getattr(S, name))
+        # the entries are rationals: a RationalFunction has no integer ratio
+        with pytest.raises(AttributeError, match="as_integer_ratio"):
+            factorize(replace(C, alpha=(T,) + C.alpha[1:]), ScalarMode.SYMBOLIC)
 
 
 class TestFactorizeFloat:
@@ -157,17 +154,27 @@ class TestReconstructLU:
                 assert product[i][j] == expected
 
 
-class TestBumpedBeta:
+class TestPerturbed:
     def test_symbolic_bump(self):
         C = support.ZERO_PIVOT4
         Ft = factorize(C, ScalarMode.SYMBOLIC)
-        bb = bumped_beta(Ft, C)
-        assert bb[0] == T
-        assert bb[1:] == tuple(RationalFunction(v) for v in C.beta[1:])
+        M = perturbed(Ft, C)
+        assert M.beta[0] == T
+        assert M.beta[1:] == tuple(RationalFunction(v) for v in C.beta[1:])
+        assert (M.alpha, M.gamma, M.a) == (C.alpha, C.gamma, C.a)
+
+    def test_symbolic_alpha(self):
+        # t at the zero alpha_1, and L*U is that matrix
+        C = support.ALPHA_ZERO4
+        Ft = factorize(C, ScalarMode.SYMBOLIC)
+        M = perturbed(Ft, C)
+        assert M.alpha == (T,) + C.alpha[1:]
+        L, U = reconstruct_LU(Ft, C)
+        assert L.matmul(U) == to_dense(M)
 
     def test_exact_no_bump(self):
         Ft = factorize(support.SAMPLE5, ScalarMode.EXACT)
-        assert bumped_beta(Ft, support.SAMPLE5) == support.SAMPLE5.beta
+        assert perturbed(Ft, support.SAMPLE5) == support.SAMPLE5
 
 
 class TestDeterminant:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,11 +17,8 @@ from comrade import (DenseMatrix, NonFiniteResultError, OpCounter, Polynomial,
                      dense_times_comrade, determinant, example33, factorize,
                      invert, last_two_columns, make_comrade, random_comrade,
                      remaining_columns, to_dense)
-from comrade.factorization import bumped_beta
+from comrade.factorization import perturbed
 from comrade.inversion import lu_columns
-from comrade.scalars import POLY_T
-
-T = RationalFunction.t()
 
 
 def two_sided_identity(C, S):
@@ -101,18 +97,20 @@ class TestSymbolicColumns:
         assert col_n1[0].at_zero() == F(5, 8)
 
     def test_last_two_columns_read_the_bumped_last_pivot(self):
-        # PROPORTIONAL4 is singular, so its last pivot is bumped as well,
-        # and column n-1 must read beta_4 + t, not beta_4
-        C = support.PROPORTIONAL4
+        # SINGULAR4's only substitution is its last pivot, and column n-1
+        # must read beta_4 + t, not beta_4: the columns are those of the
+        # inverse of M(t), here at t = 2/7
+        C = support.SINGULAR4
         Ft = factorize(C, ScalarMode.SYMBOLIC)
-        assert Ft.substitutions == (Substitution("pivot", 2), Substitution("pivot", 4))
+        assert Ft.substitutions == (Substitution("pivot", 4),)
         col_n, col_n1 = last_two_columns(Ft, C)
-        zero, inv_t = RationalFunction(0), RationalFunction(Polynomial((1,)), POLY_T)
-        assert col_n == [zero, zero, RationalFunction(Polynomial((-1,)), POLY_T), inv_t]
-        assert col_n1 == [zero, zero, RationalFunction(Polynomial((1, 1)), POLY_T),
-                          RationalFunction(Polynomial((-1,)), POLY_T)]
-        assert tuple(map(str, col_n)) == support.PROPORTIONAL4_COL_N_STRS
-        assert tuple(map(str, col_n1)) == support.PROPORTIONAL4_COL_N1_STRS
+        t, M = F(2, 7), perturbed(Ft, C)
+        dense = dense_invert(to_dense(make_comrade(
+            4, *([at(v, t) for v in getattr(M, name)] for name in ("beta", "alpha", "gamma", "a")))))
+        assert [at(v, t) for v in col_n] == [row[3] for row in dense.rows]
+        assert [at(v, t) for v in col_n1] == [row[2] for row in dense.rows]
+        assert tuple(map(str, col_n)) == support.SINGULAR4_COL_N_STRS
+        assert tuple(map(str, col_n1)) == support.SINGULAR4_COL_N1_STRS
 
     def test_remaining_columns_entries(self):
         Ft, _ = self._working()
@@ -198,15 +196,16 @@ class TestDegenerateHandling:
             invert(C, ScalarMode.EXACT)
         assert (info.value.index, info.value.what) == (2, "alpha")
 
-    def test_remaining_columns_refuses_zero_alpha_symbolic(self):
-        # a SYMBOLIC caller that does not pass t gets the refusal EXACT
-        # gets, not a bare ZeroDivisionError from the recursion
+    def test_remaining_columns_reads_t_at_zero_alpha_symbolic(self):
+        # SYMBOLIC factors hold t at the zero alpha, so the recursion
+        # divides by it and meets no refusal
         C = support.ALPHA_ZERO4
         Ft = factorize(C, ScalarMode.SYMBOLIC)
-        ops = OpCounter()
-        with pytest.raises(ZeroPivotError) as info:
-            remaining_columns(Ft, ops)
-        assert (info.value.index, info.value.what, ops.count) == (1, "alpha", 0)
+        assert Ft.substitutions == (Substitution("alpha", 1),)
+        col2, col1 = remaining_columns(Ft, finalize=True)
+        dense = dense_invert(to_dense(C))
+        assert col2 == [row[1] for row in dense.rows]
+        assert col1 == [row[0] for row in dense.rows]
 
     def test_float_pivot_product_underflow_is_not_singular(self):
         # every pivot is nonzero, so the columns divide by nothing zero;
@@ -363,15 +362,12 @@ def rf_recursion(col_n, col_n1, work):
 
 
 def symbolic_columns(C):
-    """(M(t), columns 1 .. n of its inverse as RationalFunctions), built
-    as ``invert`` builds them in SYMBOLIC mode."""
-    n = C.n
-    alpha = tuple(T if j0 < n - 2 and v == 0 else v for j0, v in enumerate(C.alpha))
-    Ft = factorize(replace(C, alpha=alpha), ScalarMode.SYMBOLIC)
-    work = replace(C, alpha=alpha, beta=bumped_beta(Ft, C))
-    col_n, col_n1 = last_two_columns(Ft, work)
+    """(M(t), columns 1 .. n of its inverse as RationalFunctions), from
+    the SYMBOLIC factors of C."""
+    Ft = factorize(C, ScalarMode.SYMBOLIC)
+    col_n, col_n1 = last_two_columns(Ft, C)
     cols = remaining_columns(Ft)
-    return work, list(reversed(cols)) + [col_n1, col_n]
+    return perturbed(Ft, C), list(reversed(cols)) + [col_n1, col_n]
 
 
 def at(v, t):
@@ -398,6 +394,8 @@ class TestPackedSymbolicRecursion:
             return
         work, cols = symbolic_columns(C)
         assert work != C                              # something was substituted
+        assert invert(C, ScalarMode.SYMBOLIC).substitutions == \
+            factorize(C, ScalarMode.SYMBOLIC).substitutions
         for t in (F(0), F(2, 7)):
             M = make_comrade(n, *([at(v, t) for v in getattr(work, name)]
                                   for name in ("beta", "alpha", "gamma", "a")))

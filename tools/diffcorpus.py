@@ -35,7 +35,6 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
@@ -51,8 +50,6 @@ from comrade import (OpCounter, Polynomial, RationalFunction,  # noqa: E402
                      last_two_columns, poly_gcd, remaining_columns)
 from comrade import cli  # noqa: E402
 from comrade.inversion import lu_columns  # noqa: E402
-
-_T = RationalFunction.t()
 
 
 def inputs():
@@ -107,13 +104,6 @@ def call(fn, *args, **kwargs):
         return (type(exc).__name__, str(exc)), ops.count
 
 
-def symbolic_work(C):
-    """C with each zero alpha_1 .. alpha_{n-2} replaced by t, as ``invert``
-    builds it in SYMBOLIC mode."""
-    alpha = tuple(_T if j0 < C.n - 2 and v == 0 else v for j0, v in enumerate(C.alpha))
-    return replace(C, alpha=alpha)
-
-
 def records(name, C, mode):
     line = lambda entry, value: print(f"{name}\t{mode.value}\t{entry}\t{value!r}")
     try:
@@ -121,22 +111,21 @@ def records(name, C, mode):
     except (ArithmeticError, ValueError) as exc:
         line("invert", (type(exc).__name__, str(exc)))
     line("determinant", call(determinant, C, mode))
-    work = symbolic_work(C) if mode is ScalarMode.SYMBOLIC else C
     ops = OpCounter()
     try:
-        F = factorize(work, mode, ops)
+        F = factorize(C, mode, ops)
     except ArithmeticError as exc:
         line("factorize", ((type(exc).__name__, str(exc)), ops.count))
         return
     line("factorize", (rec((F.mu, F.x, F.substitutions)), ops.count))
-    columns = call(last_two_columns, F, work)
+    columns = call(last_two_columns, F, C)
     line("last_two_columns", columns)
     if mode is not ScalarMode.FLOAT and isinstance(columns[0][0], tuple):
         for finalize in (False, True):
             line(f"remaining_columns finalize={finalize}",
                  call(remaining_columns, F, finalize=finalize))
     if mode is not ScalarMode.SYMBOLIC or C.n <= 8:
-        line("lu_columns", call(lu_columns, F, work))
+        line("lu_columns", call(lu_columns, F, C))
 
 
 def cli_call(tmp, argv, out=None):

@@ -51,7 +51,7 @@ EXACT and FLOAT modes raise ``ZeroPivotError`` instead, except for the
 last pivot: nothing in the recurrences divides by mu_n, a zero there
 just means the matrix is singular, and the determinant of a singular
 matrix is still a perfectly good (zero) answer.  FLOAT runs the
-recurrences themselves on binary64.
+recurrences themselves on C in binary64, which its factors keep.
 
 The operation counts, 6n - 9 for the factorization and 7n - 10 for the
 determinant, are the paper's model contract for its recurrences on
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -107,31 +107,31 @@ class OpCounter:
         self.count += n
 
 
-@dataclass(frozen=True)
 class LUFactors:
-    """Recurrence output: pivots mu (n values), last-row multipliers x
-    (n-1 values), the substitution log, and the mode the run used.
+    """Recurrence output: the matrix the recurrences ran on, pivots mu
+    (n values), last-row multipliers x (n-1 values), the substitution
+    log, and the mode the run used.
 
-    Together with the source matrix's alpha and gamma these determine L
-    and U; L*U is ``perturbed``, the input with t at each logged
-    substitution.  In EXACT/FLOAT mode ``mu[-1]`` may be zero: that marks a
-    singular matrix and blocks inversion, not the determinant.  EXACT
-    and SYMBOLIC factors keep the integer continuants instead and build
-    mu and x from them on first read.
+    Together with the alpha and gamma of ``perturbed(F)`` these determine
+    L and U; L*U is ``perturbed(F)``, the input with t at each logged
+    substitution.  FLOAT factors hold C in binary64 as their matrix.  In
+    EXACT/FLOAT mode ``mu[-1]`` may be zero: that marks a singular matrix
+    and blocks inversion, not the determinant.  EXACT and SYMBOLIC
+    factors keep the integer continuants instead and build mu and x from
+    them on first read.
     """
 
-    mode: ScalarMode
-    mu: tuple
-    x: tuple
-    substitutions: tuple
+    def __init__(self, mode, matrix, mu, x, substitutions):
+        self.mode, self.matrix, self.substitutions = mode, matrix, substitutions
+        self.mu, self.x = mu, x
 
     @property
     def n(self) -> int:
-        return len(self.mu)
+        return self.matrix.n
 
     def pivot_product(self):
-        """mu_1 * ... * mu_n, evaluated at t = 0 in SYMBOLIC mode."""
-        return self.mode.finalize(math.prod(self.mu[1:], start=self.mu[0]))
+        """mu_1 * ... * mu_n."""
+        return math.prod(self.mu[1:], start=self.mu[0])
 
 
 class _ContinuantFactors(LUFactors):
@@ -142,9 +142,8 @@ class _ContinuantFactors(LUFactors):
     read."""
 
     def __init__(self, mode, substitutions, scale, matrix, D, X, width):
-        # frozen: set the fields as cached_property sets mu and x
-        self.__dict__.update(mode=mode, substitutions=substitutions, scale=scale,
-                             matrix=matrix, D=D, X=X, width=width)
+        self.mode, self.substitutions, self.scale = mode, substitutions, scale
+        self.matrix, self.D, self.X, self.width = matrix, D, X, width
 
     def _polynomial(self, v, c=1):
         """c times the packed polynomial v.  The digits are read first:
@@ -166,10 +165,6 @@ class _ContinuantFactors(LUFactors):
     @cached_property
     def x(self):
         return tuple(map(self._quotient, self.X, self.D[1:]))
-
-    @property
-    def n(self) -> int:
-        return len(self.scale)
 
     def pivot_product(self):
         d = self.D[-1]
@@ -287,8 +282,9 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
             raise ZeroPivotError(i)
         ops.tally(6 * n - 9)
         return F
-    beta, alpha, gamma, a = ([float(v) for v in getattr(C, name)]
-                             for name in ("beta", "alpha", "gamma", "a"))
+    M = ComradeMatrix(n, *(tuple(map(float, getattr(C, name)))
+                           for name in ("beta", "alpha", "gamma", "a")))
+    beta, alpha, gamma, a = M.beta, M.alpha, M.gamma, M.a
     # row n left to right, without beta_n: e = (a_n, .., a_3, gamma_n)
     e = (*reversed(a), gamma[-1])
     mu, x = [beta[0]], []
@@ -303,7 +299,7 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
         mu.append(beta[i0 + 1] - (alpha[i0] / mu[i0]) * gamma[i0] if i0 < n - 2
                   else beta[-1] - alpha[-1] * x[-1])
     ops.tally(6 * n - 9)
-    return LUFactors(mode, tuple(mu), tuple(x), ())
+    return LUFactors(mode, M, tuple(mu), tuple(x), ())
 
 
 def pivot_product(F: LUFactors, ops: OpCounter):
@@ -337,33 +333,31 @@ def determinant(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None
     return det
 
 
-def perturbed(F: LUFactors, C: ComradeMatrix) -> ComradeMatrix:
-    """The matrix M(t) that F factors, for F = factorize(C, mode): C in
-    F's working scalars, with t at each logged alpha and +t on the
-    diagonal at each logged pivot.  EXACT and FLOAT factors log nothing,
-    so there it is C itself."""
-    w = F.mode.scalar
-    beta, alpha, gamma, a = ([w(v) for v in getattr(C, name)]
-                             for name in ("beta", "alpha", "gamma", "a"))
-    t = RationalFunction.t()
-    for kind, index in F.substitutions:
-        if kind == "pivot":
-            beta[index - 1] = beta[index - 1] + t
-        else:
-            alpha[index - 1] = t
-    return ComradeMatrix(C.n, tuple(beta), tuple(alpha), tuple(gamma), tuple(a))
+def perturbed(F: LUFactors) -> ComradeMatrix:
+    """The matrix M(t) that the factors F factor, in F's working scalars:
+    the input with t at each logged alpha and +t on the diagonal at each
+    logged pivot, so the input itself where nothing is logged.  FLOAT
+    factors hold it as their matrix.  EXACT and SYMBOLIC factors hold
+    C' = M(t) diag(c), so each entry of M(t) is that of C' over its
+    column's scale c_k."""
+    S = F.matrix
+    if F.mode is ScalarMode.FLOAT:
+        return S
+    c = F.scale
+    entry = lambda v, c_k: F._quotient(v, 1, c_k)
+    return ComradeMatrix(S.n, tuple(map(entry, S.beta, c)), tuple(map(entry, S.alpha, c[1:])),
+                         tuple(map(entry, S.gamma, c)), tuple(map(entry, S.a, c[S.n - 3::-1])))
 
 
-def reconstruct_LU(F: LUFactors, C: ComradeMatrix):
-    """Materialize (L, U) as DenseMatrix pairs for verification, for
-    F = factorize(C, mode).
+def reconstruct_LU(F: LUFactors):
+    """Materialize (L, U) of the factors F as DenseMatrix pairs for
+    verification.
 
-    L*U equals ``to_dense(perturbed(F, C))``: in EXACT/FLOAT mode there
-    are never substitutions, so L*U == to_dense(C), up to roundoff in
-    FLOAT.
+    L*U equals ``to_dense(perturbed(F))``: in EXACT/FLOAT mode there are
+    never substitutions, so L*U is the input, up to roundoff in FLOAT.
     """
-    n = C.n
-    M = perturbed(F, C)
+    n = F.n
+    M = perturbed(F)
     w = F.mode.scalar
     one, zero = w(1), w(0)
     lower = [[zero] * n for _ in range(n)]

@@ -42,14 +42,15 @@ singular C.  Only the last two columns, and ``remaining_columns``
 without ``finalize``, build the canonical RationalFunctions
 c_i adj(C')_ij(t) / D_n(t) from all the digits.
 
-FLOAT solves every column from the LU factors, ``_solve_column``:
-columns n and n-1, and columns n-2 .. 1 as well (``lu_columns``), while
-``remaining_columns`` refuses FLOAT.  In binary64 the recursion runs
-against the dominant solution of its own homogeneous part and amplifies
-rounding by a constant factor per column (about 2.618 on example33),
-while the forward pass over L and the backward pass over U never divide
-by alpha.  Exact arithmetic has no rounding to amplify, so EXACT and
-SYMBOLIC keep the paper's recursion.
+FLOAT solves every column from the LU factors, which hold C in
+binary64, by ``_solve_column``: columns n and n-1, and columns n-2 .. 1
+as well (``lu_columns``), while ``remaining_columns`` refuses FLOAT.  So
+in every mode each phase after ``factorize`` reads only the factors.  In
+binary64 the recursion runs against the dominant solution of its own
+homogeneous part and amplifies rounding by a constant factor per column
+(about 2.618 on example33), while the forward pass over L and the
+backward pass over U never divide by alpha.  Exact arithmetic has no
+rounding to amplify, so EXACT and SYMBOLIC keep the paper's recursion.
 """
 
 from __future__ import annotations
@@ -80,14 +81,15 @@ class InverseResult:
 
 
 def _solve_column(F: LUFactors, alpha, ell, j0: int):
-    """Column j0 + 1 of the inverse from L U s = e_{j0+1} (0-based j0).
+    """Column j0 + 1 of the inverse from L U s = e_{j0+1} (0-based j0),
+    with alpha the superdiagonal of ``perturbed(F)``.
 
     The forward pass over L starts at the unit entry, the entries above
     it being zero, and reads ell_k = gamma_{k+1} / mu_k (not for
     j0 >= n - 2) and the last row x; the backward pass over U is
     s_i = -alpha_i s_{i+1} / mu_i above row j0 + 1.  Neither divides by
     alpha."""
-    n = len(F.mu)
+    n = F.n
     mu, x = F.mu, F.x
     s = [F.mode.scalar(0)] * n
     y = last = s[j0] = F.mode.scalar(1)
@@ -122,21 +124,20 @@ def _adjugate_last_two(F: LUFactors):
     return [-al * p for p in P] + [D[n - 1]], [b * p for p in P] + [-F.X[-1]]
 
 
-def last_two_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
+def last_two_columns(F: LUFactors, ops: OpCounter | None = None):
     """Columns n and n-1 of the inverse, as top-to-bottom lists: 2n - 1
     and 2n field operations, every mode.
 
     EXACT and SYMBOLIC read them off the continuants of F in closed form
     (see the module docstring).  FLOAT runs ``_solve_column`` for each,
-    so there C must be the matrix F was computed from: its superdiagonal
-    is the one sitting along U.  EXACT and
+    along the superdiagonal of the binary64 C that F holds.  EXACT and
     FLOAT factors of a singular matrix raise SingularMatrixError.
     """
     if ops is None:
         ops = OpCounter()
     n = F.n
     if F.mode is ScalarMode.FLOAT:
-        alpha = [float(v) for v in C.alpha]
+        alpha = F.matrix.alpha
         columns = _solve_column(F, alpha, None, n - 1), _solve_column(F, alpha, None, n - 2)
     else:
         columns = tuple(map(F.column, _adjugate_last_two(F)))
@@ -192,15 +193,16 @@ def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: b
     return cols
 
 
-def lu_columns(F: LUFactors, C: ComradeMatrix, ops: OpCounter | None = None):
+def lu_columns(F: LUFactors, ops: OpCounter | None = None):
     """Columns 1 .. n-2 of the inverse (returned in that order), each
-    solved from L U s = e_j with the factors F of C by ``_solve_column``,
-    as the last two columns are.  It reads alpha and gamma off
-    ``perturbed(F, C)``."""
+    solved from L U s = e_j with the factors F by ``_solve_column``, as
+    the last two columns are.  It reads alpha and gamma off
+    ``perturbed(F)``: the binary64 C of FLOAT factors, M(t) read off C'
+    and the column scales of EXACT and SYMBOLIC ones."""
     if ops is None:
         ops = OpCounter()
-    n = len(F.mu)
-    M = perturbed(F, C)
+    n = F.n
+    M = perturbed(F)
     ell = [None] + [M.gamma[k0 - 1] / F.mu[k0 - 1] for k0 in range(1, n - 1)]
     ops.tally(n - 2)
     cols = []
@@ -217,9 +219,9 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     SingularMatrixError where the last pivot would be divided by: in the
     last two columns in EXACT (D_n = 0) and FLOAT (mu_n = 0), in the
     recursion at t = 0 in SYMBOLIC (D_n(0) = 0).  So a FLOAT pivot
-    product that only underflows to 0.0 is not singular.  The phases
-    read C itself; the substitution log is ``factorize``'s, pivots
-    first, then alphas.
+    product that only underflows to 0.0 is not singular.  Every phase
+    after ``factorize`` reads only its factors; the substitution log is
+    ``factorize``'s, pivots first, then alphas.
 
     EXACT and SYMBOLIC take 7n^2 - 5n - 11 field operations when nothing
     is degenerate: 6n - 9 to factorize, n - 1 for the determinant, 4n - 1
@@ -233,10 +235,10 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     ops = OpCounter()
     F = factorize(C, mode, ops)
     det = pivot_product(F, ops)
-    col_n, col_n1 = last_two_columns(F, C, ops)
+    col_n, col_n1 = last_two_columns(F, ops)
     if mode is ScalarMode.FLOAT:
         _refuse_zero_alpha(C)                   # a policy: lu_columns never divides by alpha
-        columns = lu_columns(F, C, ops)
+        columns = lu_columns(F, ops)
     else:
         # before col_n is finalized: a singular C is refused, not a pole
         columns = remaining_columns(F, ops, finalize=True)[::-1]

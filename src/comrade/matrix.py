@@ -37,9 +37,10 @@ class ComradeMatrix:
     a      extra last-row coefficients in increasing subscript order
            (a_3 .. a_n), length n-2
 
-    Entries are any field scalars.  Data matrices hold Fractions;
-    ``factorization.perturbed`` builds the perturbed matrix M(t) of the
-    symbolic rescue, holding RationalFunctions.
+    Entries are any field scalars.  Data matrices hold Fractions, the
+    factors of ``factorization`` hold floats or integers, and
+    ``factorization.perturbed`` reads the perturbed matrix M(t) of the
+    symbolic rescue off them, holding RationalFunctions.
     """
 
     n: int

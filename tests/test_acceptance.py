@@ -63,7 +63,7 @@ def test_criterion_3_inverse_fixture():
     # at t = 0 and by row 1 of S*C = I; a 3/8 there is arithmetically
     # impossible for this matrix
     Ft = factorize(support.ZERO_PIVOT4, ScalarMode.SYMBOLIC)
-    _, col_n1 = last_two_columns(Ft, support.ZERO_PIVOT4)
+    _, col_n1 = last_two_columns(Ft)
     symbolic_13 = col_n1[0]
     I = DenseMatrix.identity(4)
     ok = (res.inverse.rows == support.ZERO_PIVOT4_INVERSE

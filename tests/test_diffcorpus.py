@@ -1,10 +1,15 @@
 """Smoke test of ``tools/diffcorpus.py``: its records still run against
 the package's API, so a diff of two trees' corpora compares results and
-not a crash of the script."""
+not a crash of the script.  A stride of the inputs and every ``cli:`` and
+``scalars:`` group are also checked against the committed digest, so a
+change of any of those records fails here and names its group."""
 
 import ast
 import importlib.util
+import itertools
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -14,15 +19,45 @@ from comrade import ComradeMatrix, ScalarMode, example33
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "diffcorpus.py"
 
+#: every _STRIDE-th corpus input is checked against the digest; 11 is
+#: prime to the corpus's seed, pattern and size counts, so the sample
+#: mixes them
+_STRIDE = 11
 
-@pytest.fixture
-def diffcorpus(monkeypatch):
+
+@pytest.fixture(scope="module")
+def diffcorpus():
     # the script puts tests/ and perfbench/ on sys.path as it is imported
-    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = list(sys.path)
     spec = importlib.util.spec_from_file_location("diffcorpus", _SCRIPT)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
     return module
+
+
+def printed(fn, *args):
+    """The text fn(*args) prints."""
+    out = StringIO()
+    with redirect_stdout(out):
+        fn(*args)
+    return out.getvalue()
+
+
+def differing(diffcorpus, *texts):
+    """The record names of texts whose lines differ from the digest."""
+    digest = diffcorpus.Digest()
+    for text in texts:
+        digest.write(text)
+    want = diffcorpus.read_digest()
+    return [name for name, entry in digest.entries().items() if want.get(name) != entry]
+
+
+@pytest.fixture(scope="module")
+def scalar_texts(diffcorpus):
+    return printed(diffcorpus.scalar_records), printed(diffcorpus.scalar_form_records)
 
 
 @pytest.mark.parametrize("mode", list(ScalarMode))
@@ -44,9 +79,17 @@ def test_records_run_in_every_mode(diffcorpus, mode, capsys):
         assert ("rescue", "remaining_columns finalize=True") in entries
 
 
-def test_cli_records_run(diffcorpus, tmp_path, capsys):
-    diffcorpus.cli_records(tmp_path)
-    out = capsys.readouterr().out
+def test_inputs_match_digest(diffcorpus):
+    def stride():
+        for name, C in itertools.islice(diffcorpus.inputs(), 0, None, _STRIDE):
+            for mode in ScalarMode:
+                diffcorpus.records(name, C, mode)
+    assert differing(diffcorpus, printed(stride)) == []
+
+
+def test_cli_records_run(diffcorpus, tmp_path):
+    out = printed(diffcorpus.cli_records, tmp_path)
+    assert differing(diffcorpus, out) == []
     assert str(tmp_path) not in out
     lines = [line.split("\t") for line in out.splitlines()]
     assert all(len(line) == 4 and line[0].startswith("cli:") for line in lines)
@@ -62,9 +105,13 @@ def test_cli_records_run(diffcorpus, tmp_path, capsys):
             assert written[0] == ["n", "mode", "op_count", "epsilon"]
 
 
-def test_scalar_records_run(diffcorpus, capsys):
-    diffcorpus.scalar_records()
-    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+def test_scalar_records_match_digest(diffcorpus, scalar_texts):
+    # a scalars: group's lines are those of both functions, in this order
+    assert differing(diffcorpus, *scalar_texts) == []
+
+
+def test_scalar_records_run(scalar_texts):
+    lines = [line.split("\t") for line in scalar_texts[0].splitlines()]
     assert all(len(line) == 4 and line[0].startswith("scalars:") for line in lines)
     values = {}
     for name, _, entry, value in lines:
@@ -76,9 +123,8 @@ def test_scalar_records_run(diffcorpus, capsys):
     assert any(len(c) > 60 for g in gcds for c in g)                 # coefficients near 2^200
 
 
-def test_scalar_form_records_run(diffcorpus, capsys):
-    diffcorpus.scalar_form_records()
-    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+def test_scalar_form_records_run(scalar_texts):
+    lines = [line.split("\t") for line in scalar_texts[1].splitlines()]
     assert all(len(line) == 4 and line[0].startswith("scalars:") for line in lines)
     values = {}
     for name, _, entry, value in lines:

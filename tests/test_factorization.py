@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 import support
-from comrade import (NonFiniteResultError, OpCounter, Polynomial,
-                     RationalFunction, ScalarMode, Substitution,
+from comrade import (ComradeMatrix, NonFiniteResultError, OpCounter,
+                     Polynomial, RationalFunction, ScalarMode, Substitution,
                      ZeroPivotError, dense_det, determinant,
                      example33, factorize, make_comrade, random_comrade,
                      reconstruct_LU, to_dense)
@@ -117,7 +117,7 @@ class TestFactorizeFloat:
 class TestReconstructLU:
     def test_exact_product(self):
         Ft = factorize(support.SAMPLE5, ScalarMode.EXACT)
-        L, U = reconstruct_LU(Ft, support.SAMPLE5)
+        L, U = reconstruct_LU(Ft)
         assert L.matmul(U) == to_dense(support.SAMPLE5)
         n = L.n
         for i in range(n):
@@ -135,7 +135,7 @@ class TestReconstructLU:
             Ft = factorize(C, ScalarMode.EXACT)
         except ZeroPivotError:
             return
-        L, U = reconstruct_LU(Ft, C)
+        L, U = reconstruct_LU(Ft)
         assert L.matmul(U) == to_dense(C)
 
     def test_symbolic_product_is_bumped_matrix(self):
@@ -143,7 +143,7 @@ class TestReconstructLU:
         # the substituted diagonal entry, so LU == that matrix, not C
         C = support.ZERO_PIVOT4
         Ft = factorize(C, ScalarMode.SYMBOLIC)
-        L, U = reconstruct_LU(Ft, C)
+        L, U = reconstruct_LU(Ft)
         product = L.matmul(U)
         D = to_dense(C)
         for i in range(4):
@@ -158,7 +158,7 @@ class TestPerturbed:
     def test_symbolic_bump(self):
         C = support.ZERO_PIVOT4
         Ft = factorize(C, ScalarMode.SYMBOLIC)
-        M = perturbed(Ft, C)
+        M = perturbed(Ft)
         assert M.beta[0] == T
         assert M.beta[1:] == tuple(RationalFunction(v) for v in C.beta[1:])
         assert (M.alpha, M.gamma, M.a) == (C.alpha, C.gamma, C.a)
@@ -167,14 +167,42 @@ class TestPerturbed:
         # t at the zero alpha_1, and L*U is that matrix
         C = support.ALPHA_ZERO4
         Ft = factorize(C, ScalarMode.SYMBOLIC)
-        M = perturbed(Ft, C)
+        M = perturbed(Ft)
         assert M.alpha == (T,) + C.alpha[1:]
-        L, U = reconstruct_LU(Ft, C)
+        L, U = reconstruct_LU(Ft)
         assert L.matmul(U) == to_dense(M)
 
     def test_exact_no_bump(self):
         Ft = factorize(support.SAMPLE5, ScalarMode.EXACT)
-        assert perturbed(Ft, support.SAMPLE5) == support.SAMPLE5
+        assert perturbed(Ft) == support.SAMPLE5
+
+    @pytest.mark.parametrize("mode", list(ScalarMode))
+    def test_matches_the_replayed_log(self, mode):
+        # perturbed reads M(t) off the factors; here it is rebuilt from C
+        # in the working scalars and the log: t at each logged alpha and
+        # +t at each logged pivot
+        factored = logged = 0
+        for n in range(3, 15):
+            for pattern in support.ZERO_PATTERNS:
+                for seed in range(3):
+                    C = support.zero_patterned_comrade(n, pattern, seed)
+                    try:
+                        Ft = factorize(C, mode)
+                    except ZeroPivotError:
+                        continue
+                    beta, alpha, gamma, a = ([mode.scalar(v) for v in getattr(C, name)]
+                                             for name in ("beta", "alpha", "gamma", "a"))
+                    for kind, index in Ft.substitutions:
+                        if kind == "pivot":
+                            beta[index - 1] = beta[index - 1] + T
+                        else:
+                            alpha[index - 1] = T
+                    M = ComradeMatrix(n, *map(tuple, (beta, alpha, gamma, a)))
+                    assert perturbed(Ft) == M, (n, pattern, seed)
+                    factored += 1
+                    logged += len(Ft.substitutions)
+        assert factored                 # EXACT and FLOAT refuse most of these inputs
+        assert logged or mode is not ScalarMode.SYMBOLIC
 
 
 class TestDeterminant:

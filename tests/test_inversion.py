@@ -85,7 +85,7 @@ class TestSymbolicColumns:
 
     def test_last_two_columns_entries(self):
         Ft, C = self._working()
-        col_n, col_n1 = last_two_columns(Ft, C)
+        col_n, col_n1 = last_two_columns(Ft)
         den = Polynomial((-12, 14))                       # 2(7t - 6)
         assert col_n[3] == RationalFunction(Polynomial((1, 8)), den)
         assert col_n[2] == RationalFunction(Polynomial((-2, -1)), den)
@@ -103,8 +103,8 @@ class TestSymbolicColumns:
         C = support.SINGULAR4
         Ft = factorize(C, ScalarMode.SYMBOLIC)
         assert Ft.substitutions == (Substitution("pivot", 4),)
-        col_n, col_n1 = last_two_columns(Ft, C)
-        t, M = F(2, 7), perturbed(Ft, C)
+        col_n, col_n1 = last_two_columns(Ft)
+        t, M = F(2, 7), perturbed(Ft)
         dense = dense_invert(to_dense(make_comrade(
             4, *([at(v, t) for v in getattr(M, name)] for name in ("beta", "alpha", "gamma", "a")))))
         assert [at(v, t) for v in col_n] == [row[3] for row in dense.rows]
@@ -137,7 +137,7 @@ class TestDegenerateHandling:
         for phase, count in ((last_two_columns, 0), (lu_columns, C.n - 2)):
             ops = OpCounter()
             with pytest.raises(SingularMatrixError, match="matrix is singular"):
-                phase(factors, C, ops)
+                phase(factors, ops)
             assert ops.count == count
 
     def test_singular_symbolic_finalized_columns_raise(self):
@@ -277,10 +277,18 @@ class TestInvertProperties:
         assert checked >= 250
 
     def test_lu_columns_match_recursion_exactly(self):
-        for C in (support.SAMPLE5, example33(7), random_comrade(6, 4, 0.0)):
-            Fx = factorize(C, ScalarMode.EXACT)
+        # SYMBOLIC entries compare as canonical forms, coefficient for
+        # coefficient, not only as equal rational functions
+        form = lambda v: (v.num.coeffs, v.den.coeffs) if isinstance(v, RationalFunction) else v
+        factors = [factorize(C, ScalarMode.EXACT)
+                   for C in (support.SAMPLE5, example33(7), random_comrade(6, 4, 0.0))]
+        factors += [factorize(C, ScalarMode.SYMBOLIC)
+                    for C in (support.ZERO_PIVOT4, support.ALPHA_ZERO4,
+                              support.PROPORTIONAL4, support.IDENTITY3)]
+        for Fx in factors:
             rest = remaining_columns(Fx)
-            assert lu_columns(Fx, C) == list(reversed(rest))
+            assert [[*map(form, col)] for col in lu_columns(Fx)] == \
+                [[*map(form, col)] for col in reversed(rest)]
 
     def test_float_overflow_raises(self):
         C = support.TINY_PIVOT3
@@ -365,9 +373,9 @@ def symbolic_columns(C):
     """(M(t), columns 1 .. n of its inverse as RationalFunctions), from
     the SYMBOLIC factors of C."""
     Ft = factorize(C, ScalarMode.SYMBOLIC)
-    col_n, col_n1 = last_two_columns(Ft, C)
+    col_n, col_n1 = last_two_columns(Ft)
     cols = remaining_columns(Ft)
-    return perturbed(Ft, C), list(reversed(cols)) + [col_n1, col_n]
+    return perturbed(Ft), list(reversed(cols)) + [col_n1, col_n]
 
 
 def at(v, t):

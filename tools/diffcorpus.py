@@ -25,12 +25,25 @@ every other record, are the ``scalars:`` records of the same
 polynomials' str, monic, divmod and value at -3/7, and of the rational
 functions' str and value at t = 0.  The script is not a test module;
 pytest does not collect it.
+
+The records are pinned by ``diffcorpus.digest`` next to this script: one
+line per record name (the first tab field) with the number of its
+records and the sha256 of their lines.  ``--check`` runs the corpus,
+names every group that differs from the digest and exits 1;
+``--update`` rewrites the digest, for a change that alters records on
+purpose and names the groups it altered.  ``tests/test_diffcorpus.py`` checks a
+stride of the inputs and all ``cli:`` and ``scalars:`` groups against it.
+The digest was made with CPython 3.11; another version's argparse may
+word the ``cli:`` help and usage records differently.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
+import hashlib
 import operator
+import os
 import random
 import sys
 import tempfile
@@ -38,6 +51,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "tests"), str(_ROOT / "perfbench")]
@@ -118,21 +132,23 @@ def records(name, C, mode):
         line("factorize", ((type(exc).__name__, str(exc)), ops.count))
         return
     line("factorize", (rec((F.mu, F.x, F.substitutions)), ops.count))
-    columns = call(last_two_columns, F, C)
+    columns = call(last_two_columns, F)
     line("last_two_columns", columns)
     if mode is not ScalarMode.FLOAT and isinstance(columns[0][0], tuple):
         for finalize in (False, True):
             line(f"remaining_columns finalize={finalize}",
                  call(remaining_columns, F, finalize=finalize))
     if mode is not ScalarMode.SYMBOLIC or C.n <= 8:
-        line("lu_columns", call(lu_columns, F, C))
+        line("lu_columns", call(lu_columns, F))
 
 
 def cli_call(tmp, argv, out=None):
     """(exit code, stdout, stderr, text of ``out`` or None) of the command
     line argv run in process; ``out`` is removed afterwards."""
     stdout, stderr = StringIO(), StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
+    # argparse wraps help to the terminal: pin the width it gets off one
+    with redirect_stdout(stdout), redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -288,7 +304,43 @@ def scalar_form_records():
             scalar_line(name, f"{label} at_zero", outcome(r.at_zero))
 
 
-def main():
+#: the committed digest of the records
+DIGEST = _ROOT / "tools" / "diffcorpus.digest"
+
+
+class Digest:
+    """A text stream that keeps, for each record name (the first tab
+    field of a line), the number of its lines and the sha256 of them in
+    the order written."""
+
+    def __init__(self):
+        self._groups = {}
+        self._partial = ""
+
+    def write(self, text):
+        *lines, self._partial = (self._partial + text).split("\n")
+        for line in lines:
+            group = self._groups.setdefault(line.partition("\t")[0], [0, hashlib.sha256()])
+            group[0] += 1
+            group[1].update(f"{line}\n".encode())
+        return len(text)
+
+    def entries(self):
+        """{name: (record count, sha256 hex digest)}, in first-written order."""
+        return {name: (count, h.hexdigest()) for name, (count, h) in self._groups.items()}
+
+
+def read_digest():
+    """The committed digest, in the form of ``Digest.entries``."""
+    entries = {}
+    for line in DIGEST.read_text().splitlines():
+        name, count, sha = line.split("\t")
+        entries[name] = (int(count), sha)
+    return entries
+
+
+def corpus():
+    """Print every record."""
     count = 0
     for name, C in inputs():
         count += 1
@@ -301,5 +353,32 @@ def main():
     print(f"# {count} inputs, the cli and the scalars records", file=sys.stderr)
 
 
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Print the differential corpus, "
+                                     f"or compare it with {DIGEST.name}.")
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument("--check", action="store_true",
+                        help="name every record group that differs from the digest")
+    action.add_argument("--update", action="store_true", help="rewrite the digest")
+    args = parser.parse_args(argv)
+    if not (args.check or args.update):
+        corpus()
+        return 0
+    digest = Digest()
+    with redirect_stdout(digest):
+        corpus()
+    got = digest.entries()
+    if args.update:
+        DIGEST.write_text("".join(f"{name}\t{count}\t{sha}\n"
+                                  for name, (count, sha) in got.items()))
+        return 0
+    want = read_digest()
+    differ = [name for name in {**want, **got} if got.get(name) != want.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"# {len(differ)} of {len(want)} digest groups differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

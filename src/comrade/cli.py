@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 unreadable or invalid matrix file, 3 singular
 matrix, 4 zero pivot (or zero divisor alpha) in a mode without symbolic
 rescue, 5 pole at t = 0, 6 non-finite float determinant or inverse entry
-(overflow or nan from a tiny pivot), 1 unexpected failure.
+(overflow or nan from a tiny pivot) or an input entry beyond binary64
+range, 1 a bad --n or --sizes or an output file that cannot be written
+(each one line on stderr) or an unexpected failure.
 
 When --mode is not given, commands run EXACT first and retry once in
 SYMBOLIC mode on a zero pivot/alpha, with a note on stderr; an explicit
@@ -35,10 +37,12 @@ EXIT_ZERO_PIVOT = 4
 EXIT_POLE = 5
 EXIT_NON_FINITE = 6
 
-#: the errors ``main`` reports as ``error: ...``, with their exit codes
+#: the errors ``main`` reports as ``error: ...``, with their exit codes; an
+#: OSError is an output file that cannot be written (an unreadable input
+#: is a MatrixFormatError)
 _EXIT_CODES = {MatrixFormatError: EXIT_PARSE, SingularMatrixError: EXIT_SINGULAR,
                ZeroPivotError: EXIT_ZERO_PIVOT, PoleAtZeroError: EXIT_POLE,
-               NonFiniteResultError: EXIT_NON_FINITE}
+               NonFiniteResultError: EXIT_NON_FINITE, OSError: EXIT_UNEXPECTED}
 
 #: n above which the exact oracle is skipped in `bench` (residual instead).
 ORACLE_LIMIT = 200

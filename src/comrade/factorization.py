@@ -51,7 +51,8 @@ EXACT and FLOAT modes raise ``ZeroPivotError`` instead, except for the
 last pivot: nothing in the recurrences divides by mu_n, a zero there
 just means the matrix is singular, and the determinant of a singular
 matrix is still a perfectly good (zero) answer.  FLOAT runs the
-recurrences themselves on C in binary64, which its factors keep.
+recurrences themselves on C in binary64, which its factors keep; an
+entry beyond the binary64 range raises ``NonFiniteResultError``.
 
 The operation counts, 6n - 9 for the factorization and 7n - 10 for the
 determinant, are the paper's model contract for its recurrences on
@@ -82,7 +83,8 @@ class ZeroPivotError(ArithmeticError):
 
 class NonFiniteResultError(ArithmeticError):
     """A FLOAT result overflowed to inf or became nan, typically through
-    a tiny pivot in the unpivoted factorization."""
+    a tiny pivot in the unpivoted factorization, or an entry of the input
+    lies beyond the binary64 range."""
 
     def __init__(self, what: str):
         self.what = what
@@ -261,6 +263,22 @@ def continuant_factors(C: ComradeMatrix, mode: ScalarMode) -> _ContinuantFactors
     return _ContinuantFactors(mode, log, scale, replace(S, beta=tuple(beta)), D, X, width)
 
 
+def _binary64(C: ComradeMatrix) -> ComradeMatrix:
+    """C with each entry rounded to binary64, as ``float`` rounds it.
+    Raises NonFiniteResultError naming the first entry beyond its range."""
+    fields = ("beta", "alpha", "gamma", "a")
+    try:
+        return ComradeMatrix(C.n, *(tuple(map(float, getattr(C, name))) for name in fields))
+    except OverflowError:
+        for name, first in zip(fields, (1, 1, 2, 3)):     # the paper's subscripts
+            for i, v in enumerate(getattr(C, name), first):
+                try:
+                    float(v)
+                except OverflowError:
+                    raise NonFiniteResultError(f"entry {name}_{i}") from None
+        raise
+
+
 def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) -> LUFactors:
     """Run the pivot and last-row recurrences in the given mode.
 
@@ -282,8 +300,7 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
             raise ZeroPivotError(i)
         ops.tally(6 * n - 9)
         return F
-    M = ComradeMatrix(n, *(tuple(map(float, getattr(C, name)))
-                           for name in ("beta", "alpha", "gamma", "a")))
+    M = _binary64(C)
     beta, alpha, gamma, a = M.beta, M.alpha, M.gamma, M.a
     # row n left to right, without beta_n: e = (a_n, .., a_3, gamma_n)
     e = (*reversed(a), gamma[-1])

@@ -7,17 +7,19 @@ Every entry is a rational string, "p" or "p/q" (ASCII, optional sign),
 read and written with any number of digits.  Each distinct string of a
 list or row is parsed once and its repeats share the Fraction: the
 entries of a comrade matrix often repeat, as the coefficients of a
-three-term recurrence or a band drawn from a few values do.  FLOAT-mode
-results are written as the exact rational value of each binary64, so a
-dense file round-trips losslessly no matter which mode produced it.  All
-validation failures raise MatrixFormatError with a diagnostic naming the
-offending field and the first offending index.
+three-term recurrence or a band drawn from a few values do.  Float
+entries, as FLOAT mode makes them, are written as the exact rational
+value of each binary64, so a dense or comrade file round-trips
+losslessly whichever mode produced it.  All validation failures raise
+MatrixFormatError with a diagnostic naming the offending field and the
+first offending index.
 
 The written bytes are those of ``json.dumps(data, indent=2) + "\n"``:
 two-space indentation and one entry per line, the stable byte format.
 They are written without the JSON encoder, whose indenting form is pure
 Python: an ASCII rational string needs no escaping, so each list of
-entries is joined directly and written on its own.  ``dump_dense``
+entries is joined directly and written on its own.  Both writers read
+p/q off each entry with ``as_integer_ratio`` through one formatter, which
 converts each distinct denominator to a string once per call.
 """
 
@@ -128,9 +130,9 @@ def _write(path, n: int, fields) -> None:
 
 
 def dump_comrade(C: ComradeMatrix, path) -> None:
-    """Write a comrade-form matrix file."""
-    _write(path, C.n, [(field, [format_rational(v) for v in getattr(C, field)])
-                       for field in _COMRADE_FIELDS])
+    """Write a comrade-form matrix file; float entries become their exact rationals."""
+    text = _Text({1: ""})
+    _write(path, C.n, [(field, text(getattr(C, field))) for field in _COMRADE_FIELDS])
 
 
 def load_dense(path) -> DenseMatrix:
@@ -148,22 +150,23 @@ def load_dense(path) -> DenseMatrix:
     return DenseMatrix(n, tuple(out))
 
 
-class _Suffixes(dict):
-    """Denominator q -> "/q", made on first use, with 1 -> "": the
-    ``format_rational`` of p/q is f"{p}{suffix[q]}"."""
+class _Text(dict):
+    """Denominator q -> "/q", made on first use, with 1 -> "".  Called on
+    a list of Fractions, ints, bools or floats, it gives their rational
+    strings f"{p}{self[q]}", p/q = ``v.as_integer_ratio()``."""
 
     def __missing__(self, q):
         self[q] = suffix = f"/{q}"
         return suffix
 
+    def __call__(self, values) -> list:
+        try:
+            return [f"{p}{self[q]}" for p, q in (v.as_integer_ratio() for v in values)]
+        except ValueError:      # an int past the int/str digit limit, or a nan (raises again)
+            return [format_rational(Fraction(v)) for v in values]
+
 
 def dump_dense(M: DenseMatrix, path) -> None:
     """Write a dense matrix file; float entries become their exact rationals."""
-    suffix = _Suffixes({1: ""})
-    try:
-        rows = [[f"{v.numerator}{suffix[v.denominator]}"
-                 for v in (v if isinstance(v, Fraction) else Fraction(v) for v in row)]
-                for row in M.rows]
-    except ValueError:                  # an integer past the int/str digit limit
-        rows = [[format_rational(Fraction(v)) for v in row] for row in M.rows]
-    _write(path, M.n, [("rows", rows)])
+    text = _Text({1: ""})
+    _write(path, M.n, [("rows", [text(row) for row in M.rows])])

@@ -205,6 +205,19 @@ class TestErrors:
         assert err == (f"error: {bad}: gamma[1]: invalid rational literal {entry!r}"
                        " (want 'p' or 'p/q')\n")
 
+    def test_float_entry_beyond_range_is_an_error(self, capsys, comrade_file, tmp_path):
+        C = make_comrade(3, (10**400, 1, 2), (1, 1), (1, 1), (1,))
+        path = comrade_file(C)
+        out_path = tmp_path / "inv.json"
+        for argv in (["det", str(path)], ["check", str(path)],
+                     ["inv", str(path), "-o", str(out_path)]):
+            code, out, err = run(capsys, *argv, "--mode", "float")
+            assert (code, out) == (6, "")
+            assert err == "error: float entry beta_1 is not finite; retry in exact mode\n"
+        assert not out_path.exists()
+        code, out, _ = run(capsys, "det", str(path))
+        assert (code, parse_rational(out.strip())) == (0, dense_det(to_dense(C)))
+
     def test_no_command(self):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -392,3 +405,18 @@ class TestEntryPoint:
         assert proc.stderr.endswith(": a comrade matrix needs n >= 3\n")
         assert proc.stderr.count("\n") == 1
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["inv", str(support.FIXTURE_DIR / "sample5.json"), "-o"],
+        ["gen", "--family", "example33", "--n", "5", "-o"],
+        ["bench", "--family", "random", "--sizes", "4", "-o"]], ids=["inv", "gen", "bench"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_is_a_one_line_error(self, tmp_path, argv, where):
+        out_path = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+        proc = subprocess.run([sys.executable, "-m", "comrade", *argv, str(out_path)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.endswith(f"{str(out_path)!r}\n")
+        assert proc.stderr.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []

@@ -9,7 +9,7 @@ import support
 from comrade import (ComradeMatrix, NonFiniteResultError, OpCounter,
                      Polynomial, RationalFunction, ScalarMode, Substitution,
                      ZeroPivotError, dense_det, determinant,
-                     example33, factorize, make_comrade, random_comrade,
+                     example33, factorize, invert, make_comrade, random_comrade,
                      reconstruct_LU, to_dense)
 from comrade.factorization import integer_scaled, perturbed
 from comrade.scalars import POLY_T
@@ -244,6 +244,20 @@ class TestDeterminant:
         assert str(info.value) == "float determinant is not finite; retry in exact mode"
         assert determinant(support.TINY_PIVOT3, ScalarMode.EXACT) == dense_det(
             to_dense(support.TINY_PIVOT3))
+
+    @pytest.mark.parametrize("compute", [determinant, invert])
+    @pytest.mark.parametrize("C, name", [
+        (make_comrade(3, (10**400, 1, 1), (1, 1), (1, 1), (1,)), "beta_1"),
+        # 10**400/(10**400 + 1) is in range; gamma_3 and gamma_4 are not
+        (make_comrade(4, (2, F(10**400, 10**400 + 1), 3, 4), (1, 1, 1),
+                      (1, F(-10**400, 3), 10**309), (1, 1)), "gamma_3"),
+        (make_comrade(4, (2, 3, 4, 5), (1, 1, 1), (1, 1, 1), (1, -2**1024)), "a_4"),
+    ], ids=["beta", "gamma", "a"])
+    def test_float_entry_beyond_range_is_named(self, compute, C, name):
+        with pytest.raises(NonFiniteResultError) as info:
+            compute(C, ScalarMode.FLOAT)
+        assert str(info.value) == f"float entry {name} is not finite; retry in exact mode"
+        assert determinant(C, ScalarMode.EXACT) == dense_det(to_dense(C))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mode_consistency_random(self, seed):

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 import support
-from comrade import (DenseMatrix, MatrixFormatError, dump_comrade, dump_dense,
-                     load_comrade, load_dense, make_comrade, random_comrade)
+from comrade import (ComradeMatrix, DenseMatrix, MatrixFormatError, ScalarMode,
+                     dump_comrade, dump_dense, factorize, load_comrade, load_dense,
+                     make_comrade, random_comrade)
 from comrade.scalars import format_rational, parse_rational
 
 
@@ -20,6 +21,18 @@ class TestComradeRoundTrip:
         path = tmp_path / "m.json"
         dump_comrade(C, path)
         assert load_comrade(path) == C
+
+    def test_float_entries_survive_exactly(self, tmp_path):
+        # the binary64 matrix of FLOAT factors is written as the exact
+        # rational value of each entry, which load_comrade reads back
+        M = factorize(make_comrade(4, (F(1, 3), -1.5, 0.1, 3), (1, F(5, 7), 2),
+                                   (2, 3, F(-1, 10)), (1e-300, -1)), ScalarMode.FLOAT).matrix
+        path = tmp_path / "m.json"
+        dump_comrade(M, path)
+        back = load_comrade(path)
+        for field in ("beta", "alpha", "gamma", "a"):
+            assert all(type(v) is float for v in getattr(M, field))
+            assert getattr(back, field) == tuple(map(F, getattr(M, field)))
 
     def test_file_is_plain_json(self, tmp_path):
         path = tmp_path / "m.json"
@@ -96,18 +109,24 @@ class TestByteFormat:
     @pytest.mark.parametrize("C", [
         support.SAMPLE5, support.ZERO_PIVOT4, random_comrade(9, 3),
         make_comrade(3, (BIG, 0, -1), (F(-5, 7), 2**512), (-BIG, F(1, 2**600)), (F(-1, 3),)),
-    ], ids=["sample5", "zero_pivot4", "random9", "big"])
+        ComradeMatrix(4, (0.1, -0.0, True, -7), (5e-324, False, 2**600),
+                      (1e308, -1.5, 3), (F(-1, 3), 2.0)),
+    ], ids=["sample5", "zero_pivot4", "random9", "big", "float-int-bool"])
     def test_comrade(self, C, tmp_path):
         path = tmp_path / "m.json"
         dump_comrade(C, path)
         fields = ("beta", "alpha", "gamma", "a")
         assert path.read_text() == reference_bytes(
-            {"n": C.n, **{f: [format_rational(v) for v in getattr(C, f)] for f in fields}})
+            {"n": C.n, **{f: [format_rational(F(v)) for v in getattr(C, f)] for f in fields}})
 
-    def test_entry_without_a_rational_value_writes_no_file(self, tmp_path):
-        path = tmp_path / "d.json"
+    @pytest.mark.parametrize("dump, M", [
+        (dump_dense, DenseMatrix.from_rows([(1, 2), (3, float("nan"))])),
+        (dump_comrade, ComradeMatrix(3, (1, 2, 3), (1, float("nan")), (1, 1), (1,))),
+    ], ids=["dense", "comrade"])
+    def test_entry_without_a_rational_value_writes_no_file(self, dump, M, tmp_path):
+        path = tmp_path / "m.json"
         with pytest.raises(ValueError):
-            dump_dense(DenseMatrix.from_rows([(1, 2), (3, float("nan"))]), path)
+            dump(M, path)
         assert not path.exists()
 
     def test_consecutive_calls_share_no_denominator_strings(self, tmp_path):

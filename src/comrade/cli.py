@@ -37,12 +37,18 @@ EXIT_ZERO_PIVOT = 4
 EXIT_POLE = 5
 EXIT_NON_FINITE = 6
 
+
+class _BadArgument(Exception):
+    """A --n or --sizes value that names no comrade matrix order."""
+
+
 #: the errors ``main`` reports as ``error: ...``, with their exit codes; an
 #: OSError is an output file that cannot be written (an unreadable input
-#: is a MatrixFormatError)
+#: is a MatrixFormatError), a _BadArgument a bad --n or --sizes
 _EXIT_CODES = {MatrixFormatError: EXIT_PARSE, SingularMatrixError: EXIT_SINGULAR,
                ZeroPivotError: EXIT_ZERO_PIVOT, PoleAtZeroError: EXIT_POLE,
-               NonFiniteResultError: EXIT_NON_FINITE, OSError: EXIT_UNEXPECTED}
+               NonFiniteResultError: EXIT_NON_FINITE, OSError: EXIT_UNEXPECTED,
+               _BadArgument: EXIT_UNEXPECTED}
 
 #: n above which the exact oracle is skipped in `bench` (residual instead).
 ORACLE_LIMIT = 200
@@ -110,7 +116,7 @@ def _family(args, n: int):
 
 def _cmd_gen(args) -> int:
     if args.n < 3:
-        raise SystemExit(f"bad --n {args.n}: a comrade matrix needs n >= 3")
+        raise _BadArgument(f"bad --n {args.n}: a comrade matrix needs n >= 3")
     dump_comrade(_family(args, args.n), args.output)
     return EXIT_OK
 
@@ -131,9 +137,9 @@ def _cmd_bench(args) -> int:
         try:
             sizes.append(int(chunk))
         except ValueError:
-            raise SystemExit(f"bad --sizes entry {chunk!r}")
+            raise _BadArgument(f"bad --sizes entry {chunk!r}") from None
         if sizes[-1] < 3:
-            raise SystemExit(f"bad --sizes entry {chunk!r}: a comrade matrix needs n >= 3")
+            raise _BadArgument(f"bad --sizes entry {chunk!r}: a comrade matrix needs n >= 3")
     rows = [["n", "mode", "op_count", "wall_time_seconds", "epsilon"]]
     for n in sizes:
         C = _family(args, n)

@@ -45,7 +45,9 @@ coefficients are at most the product of the rows' sums of
 a substituted alpha and a c_k for the bump it may get, and B is the
 bound's bit length plus a sign bit.  So the coefficients read back as
 balanced base-2^B digits, and mu and x are built from them when read.
-The determinant D_n(0) / (c_1 .. c_n) takes the lowest digit of D_n.
+The determinant D_n(0) / (c_1 .. c_n) takes the lowest digit of D_n,
+and ``unperturbed`` reads the EXACT factors of C'(0) = C diag(c) off
+the lowest digits of all the continuants.
 
 EXACT and FLOAT modes raise ``ZeroPivotError`` instead, except for the
 last pivot: nothing in the recurrences divides by mu_n, a zero there
@@ -189,6 +191,23 @@ class _ContinuantFactors(LUFactors):
         if not d:
             raise SingularMatrixError()
         return [Fraction(c * v, d) for c, v in zip(scale, adj)]
+
+    def unperturbed(self) -> _ContinuantFactors:
+        """The EXACT factors of C'(0) = C diag(c), read off these packed
+        SYMBOLIC ones: the lowest balanced digit of every D_i and X_i and
+        of each beta'_i and alpha'_j the log names, so each bump c_i t and
+        each substituted c_{j+1} t drops out.  The scales are the same and
+        the log is empty.  A D_i(0), i < n, may be zero: the column
+        recursion never divides by it, but mu and x would."""
+        low = lambda v: _low_digit(v, self.width)
+        S = self.matrix
+        beta, alpha = list(S.beta), list(S.alpha)
+        for kind, i in self.substitutions:
+            entries = beta if kind == "pivot" else alpha
+            entries[i - 1] = low(entries[i - 1])
+        S = replace(S, beta=tuple(beta), alpha=tuple(alpha))
+        return _ContinuantFactors(ScalarMode.EXACT, (), self.scale, S,
+                                  [*map(low, self.D)], [*map(low, self.X)], 0)
 
 
 def integer_scaled(C: ComradeMatrix):

@@ -35,12 +35,17 @@ is alpha'_j(t) times an adjugate entry in Z[t], so at t = 2^B too
 ``//`` returns the exact packed quotient; nothing is divided in Q[t].
 It reads C', D_n and the closed-form columns above off the factors, so
 only ``factorization`` knows how the packed integers are laid out.
-``invert`` needs columns 1 .. n-2 only at t = 0, where entry (i, j) is
-the Fraction c_i adj(C')_ij(0) / D_n(0) of the lowest balanced digits;
-D_n(0) = det(C) c_1 .. c_n, and a zero one is refused there as a
-singular C.  Only the last two columns, and ``remaining_columns``
-without ``finalize``, build the canonical RationalFunctions
-c_i adj(C')_ij(t) / D_n(t) from all the digits.
+``invert`` needs the inverse only at t = 0.  When the log holds only
+pivots, no t is needed at all, since nothing divides by a pivot: it
+runs the EXACT last two columns and recursion on ``F.unperturbed()``,
+the factors of C'(0) = C diag(c) read off the packed ones, and builds
+no RationalFunction.  When an alpha holds t, entry (i, j) of columns
+1 .. n-2 is the Fraction c_i adj(C')_ij(0) / D_n(0) of the lowest
+balanced digits.  Either way D_n(0) = det(C) c_1 .. c_n, and a zero one
+is refused as a singular C.  Only the last two columns of factors that
+hold t, and ``remaining_columns`` without ``finalize``, build the
+canonical RationalFunctions c_i adj(C')_ij(t) / D_n(t) from all the
+digits: in ``invert``, only for inputs with a zero alpha.
 
 FLOAT solves every column from the LU factors, which hold C in
 binary64, by ``_solve_column``: columns n and n-1, and columns n-2 .. 1
@@ -217,11 +222,13 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     symbolic rescue would be needed, NonFiniteResultError in FLOAT mode
     when the determinant or an inverse entry is inf or nan, and
     SingularMatrixError where the last pivot would be divided by: in the
-    last two columns in EXACT (D_n = 0) and FLOAT (mu_n = 0), in the
-    recursion at t = 0 in SYMBOLIC (D_n(0) = 0).  So a FLOAT pivot
+    last two columns in EXACT (D_n = 0) and FLOAT (mu_n = 0), and in
+    SYMBOLIC (D_n(0) = 0) in the last two columns at t = 0 when the log
+    holds no alpha, else in the recursion at t = 0.  So a FLOAT pivot
     product that only underflows to 0.0 is not singular.  Every phase
-    after ``factorize`` reads only its factors; the substitution log is
-    ``factorize``'s, pivots first, then alphas.
+    after ``factorize`` reads only its factors, in SYMBOLIC mode with no
+    alpha logged their t = 0 form ``unperturbed()``; the substitution
+    log is ``factorize``'s, pivots first, then alphas.
 
     EXACT and SYMBOLIC take 7n^2 - 5n - 11 field operations when nothing
     is degenerate: 6n - 9 to factorize, n - 1 for the determinant, 4n - 1
@@ -233,15 +240,17 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     backward pass, 6n - 4 - 4j in all; the sum over j is 4n^2 - 10n + 4.
     """
     ops = OpCounter()
-    F = factorize(C, mode, ops)
+    F = work = factorize(C, mode, ops)
     det = pivot_product(F, ops)
-    col_n, col_n1 = last_two_columns(F, ops)
+    if mode is ScalarMode.SYMBOLIC and all(kind == "pivot" for kind, _ in F.substitutions):
+        work = F.unperturbed()                  # no alpha holds t, and no pivot is divided by
+    col_n, col_n1 = last_two_columns(work, ops)
     if mode is ScalarMode.FLOAT:
         _refuse_zero_alpha(C)                   # a policy: lu_columns never divides by alpha
         columns = lu_columns(F, ops)
     else:
         # before col_n is finalized: a singular C is refused, not a pole
-        columns = remaining_columns(F, ops, finalize=True)[::-1]
+        columns = remaining_columns(work, ops, finalize=True)[::-1]
     rows = tuple(zip(*columns, map(mode.finalize, col_n1), map(mode.finalize, col_n)))
     if mode is ScalarMode.FLOAT:
         for i0, row in enumerate(rows):

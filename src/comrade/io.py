@@ -5,14 +5,14 @@ Dense form:    {"n": 4, "rows": [["p/q", ...], ...]}
 
 Every entry is a rational string, "p" or "p/q" (ASCII, optional sign),
 read and written with any number of digits.  Each distinct string of a
-list or row is parsed once and its repeats share the Fraction: the
-entries of a comrade matrix often repeat, as the coefficients of a
-three-term recurrence or a band drawn from a few values do.  Float
-entries, as FLOAT mode makes them, are written as the exact rational
-value of each binary64, so a dense or comrade file round-trips
-losslessly whichever mode produced it.  All validation failures raise
-MatrixFormatError with a diagnostic naming the offending field and the
-first offending index.
+comrade file, or of a dense row, is parsed once and its repeats share
+the Fraction: the entries of a comrade matrix often repeat, across its
+four lists too, as the coefficients of a three-term recurrence or a
+band drawn from a few values do.  Float entries, as FLOAT mode makes
+them, are written as the exact rational value of each binary64, so a
+dense or comrade file round-trips losslessly whichever mode produced
+it.  All validation failures raise MatrixFormatError with a diagnostic
+naming the offending field and the first offending index.
 
 The written bytes are those of ``json.dumps(data, indent=2) + "\n"``:
 two-space indentation and one entry per line, the stable byte format.
@@ -62,40 +62,43 @@ def _order(data, path) -> int:
     return n
 
 
-def _rationals(values: list, where: str) -> tuple:
+def _rationals(values: list, where: str, parsed: dict) -> tuple:
     """The rational strings of one list or row, parsed; ``where`` names
     the list in a diagnostic, e.g. "m.json: beta" or "m.json: rows[2]".
-    Each distinct string is parsed once, in order of first appearance,
-    and its repeats share the Fraction; the first bad entry is named."""
+    Each distinct string not yet in ``parsed``, the string -> Fraction
+    table it shares with the lists read before it, is parsed once, in
+    order of first appearance, and added; the first bad entry is named."""
     if not set(map(type, values)) <= {str}:
         i = next(i for i, v in enumerate(values) if type(v) is not str)
-        _rationals(values[:i], where)           # a bad literal before it comes first
+        _rationals(values[:i], where, parsed)   # a bad literal before it comes first
         raise MatrixFormatError(f"{where}[{i}]: expected a rational string")
-    parsed = dict.fromkeys(values)
     try:
-        for v in parsed:
-            parsed[v] = parse_rational(v)
+        for v in dict.fromkeys(values):
+            if v not in parsed:
+                parsed[v] = parse_rational(v)
     except ValueError as exc:
         raise MatrixFormatError(f"{where}[{values.index(v)}]: {exc}") from exc
     return tuple(map(parsed.__getitem__, values))
 
 
-def _rational_list(data, field: str, want: int, path) -> tuple:
+def _rational_list(data, field: str, want: int, path, parsed: dict) -> tuple:
     values = data.get(field)
     if not isinstance(values, list):
         raise MatrixFormatError(f"{path}: field {field!r} must be a list")
     if len(values) != want:
         raise MatrixFormatError(
             f"{path}: field {field!r} must have {want} entries, got {len(values)}")
-    return _rationals(values, f"{path}: {field}")
+    return _rationals(values, f"{path}: {field}", parsed)
 
 
 def load_comrade(path) -> ComradeMatrix:
-    """Read a comrade-form matrix file."""
+    """Read a comrade-form matrix file; its four lists share one
+    string -> Fraction table."""
     data = _load_json(path)
     n = _order(data, path)
     lengths = {"beta": n, "alpha": n - 1, "gamma": n - 1, "a": n - 2}
-    return ComradeMatrix(n, *(_rational_list(data, f, lengths[f], path)
+    parsed = {}
+    return ComradeMatrix(n, *(_rational_list(data, f, lengths[f], path, parsed)
                               for f in _COMRADE_FIELDS))
 
 
@@ -146,7 +149,7 @@ def load_dense(path) -> DenseMatrix:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise MatrixFormatError(f"{path}: rows[{i}] must be a list of {n} entries")
-        out.append(_rationals(row, f"{path}: rows[{i}]"))
+        out.append(_rationals(row, f"{path}: rows[{i}]", {}))
     return DenseMatrix(n, tuple(out))
 
 

@@ -131,6 +131,17 @@ class TestInv:
             assert (code, out, err) == (3, "", "error: matrix is singular\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("mode_argv", [[], ["--mode", "symbolic"]], ids=["default", "symbolic"])
+    def test_singular_pivot_only_input(self, capsys, comrade_file, tmp_path, mode_argv):
+        # beta_1 = 0 and rows 3 and 4 equal: the SYMBOLIC log holds only
+        # pivots, and the t = 0 last two columns refuse D_n(0) = 0
+        path = comrade_file(make_comrade(4, (0, 3, 2, 2), (1, 1, 2), (1, 1, 2), (1, 0)))
+        out_path = tmp_path / "x.json"
+        code, out, err = run(capsys, "inv", str(path), "-o", str(out_path), *mode_argv)
+        assert (code, out) == (3, "")
+        assert err.endswith("error: matrix is singular\n")
+        assert not out_path.exists()
+
     def test_float_underflowing_determinant_is_not_singular(self, capsys, comrade_file,
                                                             tmp_path):
         # nonzero pivots whose float product underflows: the inverse is written
@@ -287,11 +298,9 @@ class TestGen:
     @pytest.mark.parametrize("family", ["example33", "random"])
     def test_n_below_3_is_refused(self, capsys, tmp_path, family):
         out_path = tmp_path / "m.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--family", family, "--n", "2", "-o", str(out_path)])
-        assert exc.value.code == "bad --n 2: a comrade matrix needs n >= 3"
+        code, out, err = run(capsys, "gen", "--family", family, "--n", "2", "-o", str(out_path))
+        assert (code, out, err) == (1, "", "error: bad --n 2: a comrade matrix needs n >= 3\n")
         assert not out_path.exists()
-        assert capsys.readouterr() == ("", "")
 
 
 class TestBench:
@@ -354,16 +363,16 @@ class TestBench:
             assert 0 < float(rows[0][4]) != float(rows[1][4])
 
     def test_bad_sizes(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--family", "example33", "--sizes", "4,x"])
-        capsys.readouterr()
+        code, out, err = run(capsys, "bench", "--family", "example33", "--sizes", "4,x")
+        assert (code, out, err) == (1, "", "error: bad --sizes entry 'x'\n")
 
     @pytest.mark.parametrize("sizes", ["2", "4,2", "0", "5,-1"])
     def test_sizes_below_3_are_refused_before_output(self, capsys, sizes):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--family", "random", "--sizes", sizes])
-        assert exc.value.code.endswith(": a comrade matrix needs n >= 3")
-        assert capsys.readouterr() == ("", "")
+        code, out, err = run(capsys, "bench", "--family", "random", "--sizes", sizes)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad --sizes entry ")
+        assert err.endswith(": a comrade matrix needs n >= 3\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["--sizes", "5,7", "--seed", "3", "--zero-pivot-bias", "1.0"],
                                       ["--sizes", "4,5", "--seed", "11", "--zero-pivot-bias", "0.5"]])
@@ -379,10 +388,11 @@ class TestBench:
 
     def test_sizes_below_3_write_no_file(self, capsys, tmp_path):
         out_path = tmp_path / "bench.csv"
-        with pytest.raises(SystemExit):
-            main(["bench", "--family", "example33", "--sizes", "4,2", "-o", str(out_path)])
+        code, _, err = run(capsys, "bench", "--family", "example33", "--sizes", "4,2",
+                           "-o", str(out_path))
+        assert code == 1
+        assert err == "error: bad --sizes entry '2': a comrade matrix needs n >= 3\n"
         assert not out_path.exists()
-        capsys.readouterr()
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -478,5 +479,92 @@ class TestSymbolicInvert:
                             lambda p, x: evaluations.append(1) or at(p, x))
         res = invert(random_comrade(n, seed, zero_pivot_bias=1.0), ScalarMode.SYMBOLIC)
         assert res.substitutions
-        assert 0 < len(calls) < n * n
+        if any(kind == "alpha" for kind, _ in res.substitutions):
+            assert 0 < len(calls) < n * n               # the canonical last two columns
+        else:
+            assert not calls                            # pivot-only: read at t = 0
         assert not evaluations
+
+    def test_gcd_cases_have_both_kinds_of_log(self):
+        # seed 0 draws a zero alpha, seed 1 only the zero pivot
+        for n in (12, 24):
+            kinds = [{kind for kind, _ in factorize(random_comrade(n, seed, zero_pivot_bias=1.0),
+                                                    ScalarMode.SYMBOLIC).substitutions}
+                     for seed in (0, 1)]
+            assert kinds == [{"pivot", "alpha"}, {"pivot"}]
+
+
+def pivot_only_draw(n, k):
+    """The k-th draw of ``random_comrade(n, seed, zero_pivot_bias=1.0)``,
+    seed = 0, 1, .., with alpha_1 .. alpha_{n-2} all nonzero: beta_1 = 0
+    and no zero alpha, so its SYMBOLIC log holds only pivots."""
+    draws = (random_comrade(n, seed, zero_pivot_bias=1.0) for seed in itertools.count())
+    return next(itertools.islice((C for C in draws if 0 not in C.alpha[:n - 2]), k, None))
+
+
+#: beta_1 = 0 and rows 3 and 4 equal, as in SINGULAR4: pivots 1 and 4
+#: are substituted and no alpha is
+SINGULAR_ZERO_PIVOT4 = make_comrade(4, (0, 3, 2, 2), (1, 1, 2), (1, 1, 2), (1, 0))
+
+
+class TestPivotOnlySymbolicInvert:
+    """A SYMBOLIC log with no alpha entry needs no t: the column recursion
+    never divides by a pivot, so ``invert`` runs the EXACT pipeline on the
+    factors of C'(0), ``unperturbed()`` of the packed ones."""
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("family", ["random", "pivots"])
+    def test_matches_oracle_and_packed_path(self, n, seed, family):
+        if family == "random":
+            C = pivot_only_draw(n, seed)
+        else:
+            C = support.zero_patterned_comrade(n, "pivots", seed)
+        self.check(C)
+
+    def test_zero_pivot4(self):
+        assert self.check(support.ZERO_PIVOT4).inverse.rows == support.ZERO_PIVOT4_INVERSE
+
+    @staticmethod
+    def check(C):
+        """invert(C, SYMBOLIC) against the dense oracle and against the
+        canonical columns of the packed factors, finalized."""
+        F = factorize(C, ScalarMode.SYMBOLIC)
+        assert F.substitutions
+        assert all(kind == "pivot" for kind, _ in F.substitutions)
+        D = to_dense(C)
+        if dense_det(D) == 0:
+            with pytest.raises(SingularMatrixError):
+                invert(C, ScalarMode.SYMBOLIC)
+            return None
+        res = invert(C, ScalarMode.SYMBOLIC)
+        assert res.inverse == dense_invert(D)
+        assert res.determinant == dense_det(D)
+        assert res.substitutions == F.substitutions
+        assert res.op_count == 7 * C.n ** 2 - 5 * C.n - 11
+        col_n, col_n1 = last_two_columns(F)
+        finalize = ScalarMode.SYMBOLIC.finalize
+        assert res.inverse.rows == tuple(zip(*reversed(remaining_columns(F, finalize=True)),
+                                             map(finalize, col_n1), map(finalize, col_n)))
+        return res
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    @pytest.mark.parametrize("pattern", support.ZERO_PATTERNS)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_unperturbed_factors_are_the_unbumped_continuants(self, n, pattern, seed):
+        for C in (support.zero_patterned_comrade(n, pattern, seed), pivot_only_draw(n, seed)):
+            F0 = factorize(C, ScalarMode.SYMBOLIC).unperturbed()
+            scale, S = factorization.integer_scaled(C)
+            D, X, _ = factorization.continuants(S)
+            assert (F0.mode, F0.substitutions, F0.width) == (ScalarMode.EXACT, (), 0)
+            assert (F0.scale, F0.matrix, F0.D, F0.X) == (scale, S, D, X)
+
+    @pytest.mark.parametrize("C", [support.SINGULAR4, SINGULAR_ZERO_PIVOT4],
+                             ids=["SINGULAR4", "SINGULAR_ZERO_PIVOT4"])
+    def test_singular_input_raises(self, C):
+        F = factorize(C, ScalarMode.SYMBOLIC)
+        assert all(kind == "pivot" for kind, _ in F.substitutions)
+        with pytest.raises(SingularMatrixError):
+            invert(C, ScalarMode.SYMBOLIC)
+        with pytest.raises(SingularMatrixError):   # D_n(0) = 0, in the t = 0 last two columns
+            last_two_columns(F.unperturbed())

@@ -45,9 +45,10 @@ coefficients are at most the product of the rows' sums of
 a substituted alpha and a c_k for the bump it may get, and B is the
 bound's bit length plus a sign bit.  So the coefficients read back as
 balanced base-2^B digits, and mu and x are built from them when read.
-The determinant D_n(0) / (c_1 .. c_n) takes the lowest digit of D_n,
-and ``unperturbed`` reads the EXACT factors of C'(0) = C diag(c) off
-the lowest digits of all the continuants.
+The determinant D_n(0) / (c_1 .. c_n) takes the lowest digit of D_n.
+The factors keep the integer C'(0) = C diag(c) they were packed from,
+and ``unperturbed`` gives its EXACT factors: that matrix and the
+lowest digits of all the continuants.
 
 EXACT and FLOAT modes raise ``ZeroPivotError`` instead, except for the
 last pivot: nothing in the recurrences divides by mu_n, a zero there
@@ -142,12 +143,13 @@ class _ContinuantFactors(LUFactors):
     """EXACT and SYMBOLIC factors held as the integer data of the module
     docstring: the column scales c, C' (of M(t) in SYMBOLIC mode),
     D = [D_0, .., D_n] and X = [X_1, .., X_{n-1}], all packed at
-    t = 2^width in SYMBOLIC mode.  mu and x are built from them on first
-    read."""
+    t = 2^width in SYMBOLIC mode, and ``scaled``, the integer
+    C'(0) = C diag(c) they were built from.  mu and x are built from
+    them on first read."""
 
-    def __init__(self, mode, substitutions, scale, matrix, D, X, width):
+    def __init__(self, mode, substitutions, scale, matrix, D, X, width, scaled):
         self.mode, self.substitutions, self.scale = mode, substitutions, scale
-        self.matrix, self.D, self.X, self.width = matrix, D, X, width
+        self.matrix, self.D, self.X, self.width, self.scaled = matrix, D, X, width, scaled
 
     def _polynomial(self, v, c=1):
         """c times the packed polynomial v.  The digits are read first:
@@ -193,21 +195,14 @@ class _ContinuantFactors(LUFactors):
         return [Fraction(c * v, d) for c, v in zip(scale, adj)]
 
     def unperturbed(self) -> _ContinuantFactors:
-        """The EXACT factors of C'(0) = C diag(c), read off these packed
-        SYMBOLIC ones: the lowest balanced digit of every D_i and X_i and
-        of each beta'_i and alpha'_j the log names, so each bump c_i t and
-        each substituted c_{j+1} t drops out.  The scales are the same and
-        the log is empty.  A D_i(0), i < n, may be zero: the column
-        recursion never divides by it, but mu and x would."""
+        """The EXACT factors of C'(0) = C diag(c): the integer matrix these
+        SYMBOLIC factors were built from before any t went in, and the
+        lowest balanced digit of every packed D_i and X_i.  The scales are
+        the same and the log is empty.  A D_i(0), i < n, may be zero: the
+        column recursion never divides by it, but mu and x would."""
         low = lambda v: _low_digit(v, self.width)
-        S = self.matrix
-        beta, alpha = list(S.beta), list(S.alpha)
-        for kind, i in self.substitutions:
-            entries = beta if kind == "pivot" else alpha
-            entries[i - 1] = low(entries[i - 1])
-        S = replace(S, beta=tuple(beta), alpha=tuple(alpha))
-        return _ContinuantFactors(ScalarMode.EXACT, (), self.scale, S,
-                                  [*map(low, self.D)], [*map(low, self.X)], 0)
+        return _ContinuantFactors(ScalarMode.EXACT, (), self.scale, self.scaled,
+                                  [*map(low, self.D)], [*map(low, self.X)], 0, self.scaled)
 
 
 def integer_scaled(C: ComradeMatrix):
@@ -263,7 +258,7 @@ def continuant_factors(C: ComradeMatrix, mode: ScalarMode) -> _ContinuantFactors
     scale, S = integer_scaled(C)
     if mode is ScalarMode.EXACT:
         D, X, _ = continuants(S)
-        return _ContinuantFactors(mode, (), scale, S, D, X, 0)
+        return _ContinuantFactors(mode, (), scale, S, D, X, 0, S)
     n = C.n
     # c_{j+1}, the coefficient of t at a zero alpha_j with j <= n - 2, else 0
     t_alpha = [scale[j] if j < n - 1 and not v else 0 for j, v in enumerate(S.alpha, 1)]
@@ -271,15 +266,15 @@ def continuant_factors(C: ComradeMatrix, mode: ScalarMode) -> _ContinuantFactors
     rows.append((S.beta[-1], S.gamma[-1], *S.a))
     bound = math.prod(c + sum(map(abs, row)) for c, row in zip(scale, rows))
     width = bound.bit_length() + 1
-    S = replace(S, alpha=tuple(v + (c << width) for v, c in zip(S.alpha, t_alpha)))
+    packed = replace(S, alpha=tuple(v + (c << width) for v, c in zip(S.alpha, t_alpha)))
     bump = [c << width for c in scale]                  # c_i t at t = 2^width
-    D, X, zeros = continuants(S, bump)
+    D, X, zeros = continuants(packed, bump)
     beta = list(S.beta)
     for i in zeros:
         beta[i - 1] += bump[i - 1]
     log = (*(Substitution("pivot", i) for i in zeros),
            *(Substitution("alpha", j) for j, c in enumerate(t_alpha, 1) if c))
-    return _ContinuantFactors(mode, log, scale, replace(S, beta=tuple(beta)), D, X, width)
+    return _ContinuantFactors(mode, log, scale, replace(packed, beta=tuple(beta)), D, X, width, S)
 
 
 def _binary64(C: ComradeMatrix) -> ComradeMatrix:

@@ -11,8 +11,10 @@ four lists too, as the coefficients of a three-term recurrence or a
 band drawn from a few values do.  Float entries, as FLOAT mode makes
 them, are written as the exact rational value of each binary64, so a
 dense or comrade file round-trips losslessly whichever mode produced
-it.  All validation failures raise MatrixFormatError with a diagnostic
-naming the offending field and the first offending index.
+it; a nan or infinite entry has no rational value, so both writers
+raise ValueError for it and write no file.  All validation failures
+raise MatrixFormatError with a diagnostic naming the offending field
+and the first offending index.
 
 The written bytes are those of ``json.dumps(data, indent=2) + "\n"``:
 two-space indentation and one entry per line, the stable byte format.
@@ -164,9 +166,12 @@ class _Text(dict):
 
     def __call__(self, values) -> list:
         try:
-            return [f"{p}{self[q]}" for p, q in (v.as_integer_ratio() for v in values)]
-        except ValueError:      # an int past the int/str digit limit, or a nan (raises again)
-            return [format_rational(Fraction(v)) for v in values]
+            try:
+                return [f"{p}{self[q]}" for p, q in (v.as_integer_ratio() for v in values)]
+            except ValueError:  # an int past the int/str digit limit, or a nan (raises again)
+                return [format_rational(Fraction(v)) for v in values]
+        except OverflowError as exc:    # an inf has no rational value either
+            raise ValueError(exc) from None
 
 
 def dump_dense(M: DenseMatrix, path) -> None:

@@ -25,9 +25,10 @@ Representation invariants:
 
 Arithmetic, ``divmod`` (by pseudo-division), ``monic``, evaluation and
 printing run on the integers, and each result is reduced by one integer
-gcd with its denominator.  A constant Polynomial or RationalFunction
-equals its Fraction value and hashes as it, and a RationalFunction
-whose den is 1 hashes as its num.
+gcd with its denominator.  One long division in Z[t], ``_long_division``,
+serves ``divmod``, the gcd's trial division and the constructor.  A
+constant Polynomial or RationalFunction equals its Fraction value and
+hashes as it, and a RationalFunction whose den is 1 hashes as its num.
 
 The RationalFunction constructor skips ``poly_gcd`` when num or den is a
 constant, since the gcd is then 1.  Otherwise it divides the integers of
@@ -233,21 +234,16 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = self._ints, other._ints
-        m, k = len(b) - 1, len(a) - len(b)
+        k = len(a) - len(b)
         if k < 0:
             return _ZERO, self
         # pseudo-division: lead^(k+1) a = q b + r has q and r in Z[t], so
-        # every quotient coefficient below is an exact integer division
-        lead = b[-1]
-        scale = lead ** (k + 1)
-        rem, quot = [c * scale for c in a], [0] * (k + 1)
-        for i in range(k, -1, -1):
-            q = quot[i] = rem[i + m] // lead
-            for j in range(m):
-                rem[i + j] -= q * b[j]
+        # every quotient coefficient is an exact integer division
+        scale = b[-1] ** (k + 1)
+        quot, rem = _long_division([c * scale for c in a], b)
         # self = (quot other._den / (scale self._den)) other + rem / (scale self._den)
         den = scale * self._den
-        return _reduced([q * other._den for q in quot], den), _reduced(rem[:m], den)
+        return _reduced([q * other._den for q in quot], den), _reduced(rem, den)
 
     def __floordiv__(self, other):
         result = self.__divmod__(other)
@@ -364,21 +360,21 @@ def _primitive(p: Polynomial) -> list:
     return [c // content for c in p._ints] if content != 1 else list(p._ints)
 
 
-def _exact_quotient(a: list, g: list):
-    """a / g for integer polynomials, or None if g does not divide a in
-    Z[t]: long division that stops at the first quotient coefficient
-    that is not an integer."""
-    m = len(g) - 1
-    rem, lead = list(a), g[-1]
-    quot = [0] * (len(a) - m)
+def _long_division(a, b):
+    """(quotient, remainder) of the integer polynomials a and b != 0,
+    lowest first, a tuple and a list of len(b) - 1 or fewer integers; or
+    None at the first quotient coefficient that is not an integer."""
+    m = len(b) - 1
+    rem, lead = list(a), b[-1]
+    quot = [0] * max(len(a) - m, 0)
     for k in range(len(a) - 1 - m, -1, -1):
         r = rem[k + m]
         q = quot[k] = r // lead
         if q * lead != r:
             return None
         for j in range(m):
-            rem[k + j] -= q * g[j]
-    return None if any(rem[:m]) else tuple(quot)
+            rem[k + j] -= q * b[j]
+    return tuple(quot), rem[:m]
 
 
 #: evaluation points GCDHEU tries before the Euclidean fallback
@@ -389,7 +385,7 @@ def _heuristic_gcd(a: list, b: list):
     """The gcd of the primitive integer polynomials a and b, with a
     positive leading coefficient, or None if every try fails."""
     norm = min(max(map(abs, a)), max(map(abs, b)))
-    width = (2 * norm + 1).bit_length()             # 2^width >= 2 norm + 2
+    width = (2 * norm + 1).bit_length() + 1         # 2^width >= 4 norm + 4
     for _ in range(_GCDHEU_TRIES):
         gamma = math.gcd(_evaluate(a, width), _evaluate(b, width))
         # a common root r has |r| < 1 + norm (Cauchy), so a common factor
@@ -400,7 +396,8 @@ def _heuristic_gcd(a: list, b: list):
         g = _unpack(gamma, width)
         content = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
         g = [c // content for c in g]
-        if _exact_quotient(a, g) is not None and _exact_quotient(b, g) is not None:
+        divisions = (_long_division(p, g) for p in (a, b))
+        if all(d is not None and not any(d[1]) for d in divisions):     # g divides a and b
             return g
         width += width // 4 + 2
     return None
@@ -422,14 +419,15 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     operand gives 1.  Otherwise the gcd is the heuristic GCDHEU (Char,
     Geddes and Gonnet 1989) on integers.  Both operands are scaled to
     primitive integer polynomials A and B and evaluated at xi = 2^w, the
-    least power of two with xi >= 2 min(|A|_inf, |B|_inf) + 2.  If
+    least power of two with xi >= 4 min(|A|_inf, |B|_inf) + 4.  If
     gcd(A(xi), B(xi)) is at most xi - 1 - min(|A|_inf, |B|_inf), no
     common factor of degree >= 1 fits in it and the gcd is 1.  Otherwise
     its balanced base-xi digits, divided by their content, are the
-    candidate G.  If G divides A and B in Z[t] it is their gcd; that
-    bound on xi is what makes the check sufficient.  If
-    not, the try is repeated at w + w // 4 + 2, up to 6 tries in all,
-    and then the Euclidean algorithm over Q decides.
+    candidate G.  If G divides A and B in Z[t] it is their gcd: any
+    xi >= 2 min(|A|_inf, |B|_inf) + 2 makes the check sufficient, and
+    twice that rejects fewer first candidates.  If not, the try is
+    repeated at w + w // 4 + 2, up to 6 tries in all, and then the
+    Euclidean algorithm over Q decides.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("poly_gcd(0, 0) is undefined")
@@ -468,8 +466,8 @@ class RationalFunction:
                 # both sides' integers in Z[t]; num / den is unchanged
                 # when both are divided by G
                 G = g._ints
-                num = Polynomial._of(_exact_quotient(num._ints, G), num._den)
-                den = Polynomial._of(_exact_quotient(den._ints, G), den._den)
+                num = Polynomial._of(_long_division(num._ints, G)[0], num._den)
+                den = Polynomial._of(_long_division(den._ints, G)[0], den._den)
         lead = den._ints[-1]
         if lead != den._den:                        # scale both by den._den / lead
             num = _reduced([c * den._den for c in num._ints], num._den * lead)

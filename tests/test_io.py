@@ -122,7 +122,9 @@ class TestByteFormat:
     @pytest.mark.parametrize("dump, M", [
         (dump_dense, DenseMatrix.from_rows([(1, 2), (3, float("nan"))])),
         (dump_comrade, ComradeMatrix(3, (1, 2, 3), (1, float("nan")), (1, 1), (1,))),
-    ], ids=["dense", "comrade"])
+        (dump_dense, DenseMatrix.from_rows([(1, float("inf")), (3, 4)])),
+        (dump_comrade, ComradeMatrix(3, (1, 2, 3), (1, 1), (1, 1), (float("-inf"),))),
+    ], ids=["dense", "comrade", "dense-inf", "comrade-inf"])
     def test_entry_without_a_rational_value_writes_no_file(self, dump, M, tmp_path):
         path = tmp_path / "m.json"
         with pytest.raises(ValueError):

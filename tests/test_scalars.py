@@ -205,9 +205,9 @@ def planted_pair(rng, span):
 
 SPANS = pytest.mark.parametrize("span", (4, 10**6, 2**67, 2**200),
                                 ids=("4", "10^6", "2^67", "2^200"))
-# gcd 2t - 1; the balanced digits at the first xi = 8 give a candidate
+# gcd t + 1; the balanced digits at the first xi = 16 give a candidate
 # that does not divide, so a larger xi is tried
-RETRY = (Polynomial((-2, 5, -2)), Polynomial((0, -2, 3, 2)))
+RETRY = (Polynomial((-3, -2, 1)), Polynomial((-2, -3, 1, 2)))
 
 
 class TestHeuristicGcd:
@@ -257,8 +257,8 @@ class TestHeuristicGcd:
             raise AssertionError("the Euclidean fallback ran")
 
         monkeypatch.setattr(scalars, "_euclidean_gcd", no_fallback)
-        assert poly_gcd(*RETRY) == Polynomial((F(-1, 2), 1))
-        assert scalars._heuristic_gcd(a, b) == [-1, 2]
+        assert poly_gcd(*RETRY) == Polynomial((1, 1))
+        assert scalars._heuristic_gcd(a, b) == [1, 1]
         monkeypatch.setattr(scalars, "_GCDHEU_TRIES", 1)
         assert scalars._heuristic_gcd(a, b) is None
 
@@ -284,7 +284,7 @@ class TestHeuristicGcd:
         gcd = scalars.poly_gcd
         monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
         monkeypatch.setattr(scalars, "_GCDHEU_TRIES", 0)
-        assert gcd(*RETRY) == Polynomial((F(-1, 2), 1))
+        assert gcd(*RETRY) == Polynomial((1, 1))
         for _ in range(100):
             a, b, _ = planted_pair(rng, 2**67)
             assert scalars._euclidean_gcd(a, b) == gcd(a, b) == euclid_gcd(a, b)
@@ -696,3 +696,57 @@ class TestIntegerForm:
                 expected = hash(num[0] if num else F(0))
             assert hash(f) == expected
             assert (f == k) == (rf == rk)
+
+
+def integer_poly(rng, degree, bits, lead=None):
+    """Integers lowest first, of exactly the given degree (none for -1),
+    the leading one ``lead`` if given."""
+    cs = [rng.randint(-2**bits, 2**bits) for _ in range(degree + 1)]
+    if cs:
+        cs[-1] = lead or rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+    return cs
+
+
+class TestLongDivision:
+    """``scalars._long_division``, the one long division in Z[t], against
+    ``ref_divmod`` over Q."""
+
+    @BITS
+    def test_monic_divisor(self, bits):
+        rng = random.Random(f"long-division:{bits}")
+        for _ in range(300):
+            b = integer_poly(rng, rng.randint(0, 3), bits, lead=1)
+            a = integer_poly(rng, rng.randint(-1, 6), bits)
+            quot, rem = scalars._long_division(a, b)
+            assert type(quot) is tuple and type(rem) is list and len(rem) <= len(b) - 1
+            assert (quot, ref_trim(rem)) == ref_divmod(ref_trim(a), ref_trim(b))
+
+    @BITS
+    def test_none_at_a_quotient_coefficient_that_is_not_an_integer(self, bits):
+        rng = random.Random(f"long-division-none:{bits}")
+        for _ in range(300):
+            b = integer_poly(rng, rng.randint(0, 3), bits)
+            a = integer_poly(rng, rng.randint(-1, 6), bits)
+            quot, rem = ref_divmod(ref_trim(a), ref_trim(b))
+            result = scalars._long_division(a, b)
+            if all(q.denominator == 1 for q in quot):
+                assert (result[0], ref_trim(result[1])) == (quot, rem)
+            else:
+                assert result is None
+
+    def test_examples(self):
+        # 2t^2 + 1 by 2t + 1: the first quotient coefficient, 1, is an
+        # integer and the second, -1/2, is not
+        assert scalars._long_division([1, 0, 2], [1, 2]) is None
+        assert scalars._long_division([1, 2], [1, 0, 2]) == ((), [1, 2])
+        # a remainder that is not a multiple of the divisor is returned:
+        # 4t^2 + 2t + 1 = 2t (2t + 1) + 1
+        assert scalars._long_division([1, 2, 4], [1, 2]) == ((0, 2), [1])
+        assert scalars._long_division([], [5, 3]) == ((), [])
+
+    def test_dividend_shorter_than_the_divisor(self):
+        rng = random.Random("long-division-short")
+        for _ in range(100):
+            b = integer_poly(rng, rng.randint(1, 4), 40)
+            a = integer_poly(rng, rng.randint(-1, len(b) - 2), 40)
+            assert scalars._long_division(a, b) == ((), a)

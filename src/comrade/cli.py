@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 unreadable or invalid matrix file, 3 singular
 matrix, 4 zero pivot (or zero divisor alpha) in a mode without symbolic
-rescue, 5 pole at t = 0, 6 non-finite float determinant or inverse entry
-(overflow or nan from a tiny pivot) or an input entry beyond binary64
-range, 1 a bad --n or --sizes or an output file that cannot be written
-(each one line on stderr) or an unexpected failure.
+rescue, 6 non-finite float determinant or inverse entry (overflow or nan
+from a tiny pivot) or an input entry beyond binary64 range, 1 a bad --n
+or --sizes or an output file that cannot be written (each one line on
+stderr) or an unexpected failure.  5, a pole at t = 0, is reserved: no
+command reaches it, since ``invert`` refuses a singular input before it
+reads any value at t = 0.
 
 When --mode is not given, commands run EXACT first and retry once in
 SYMBOLIC mode on a zero pivot/alpha, with a note on stderr; an explicit

@@ -43,13 +43,17 @@ class MatrixFormatError(ValueError):
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         data = json.loads(text)
     except ValueError as exc:   # JSONDecodeError, or an int past the int/str digit limit
         raise MatrixFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise MatrixFormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise MatrixFormatError(f"{path}: expected a JSON object")
     return data

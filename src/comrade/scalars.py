@@ -30,6 +30,15 @@ serves ``divmod``, the gcd's trial division and the constructor.  A
 constant Polynomial or RationalFunction equals its Fraction value and
 hashes as it, and a RationalFunction whose den is 1 hashes as its num.
 
+Both classes follow one operator protocol, built by ``_operators``: a
+binary operator coerces its other operand with the class's ``_coerced``
+(an int, bool or Fraction, and for a RationalFunction also a
+Polynomial), returns NotImplemented for any other type, so Python raises
+TypeError (or ``==`` gives False), and otherwise runs the arithmetic on
+two instances.  Polynomial has ``+ - * divmod // % ==`` and the
+reflected ``+ - *``; RationalFunction has ``+ - * / ==`` and the
+reflected ``+ - * /``.
+
 The RationalFunction constructor skips ``poly_gcd`` when num or den is a
 constant, since the gcd is then 1.  Otherwise it divides the integers of
 num and den by those of their monic gcd, exactly in Z[t], and makes den
@@ -116,6 +125,22 @@ class PoleAtZeroError(ArithmeticError):
         super().__init__(f"pole at t = 0 in {function}")
 
 
+def _operators(op):
+    """The forward and the reflected method of a binary operator whose
+    arithmetic is op(a, b) on two instances of one class.  Each coerces
+    the other operand with the class's ``_coerced`` and returns
+    NotImplemented for a type it refuses, as ``fractions.Fraction`` does."""
+    def forward(self, other):
+        other = self._coerced(other)
+        return NotImplemented if other is None else op(self, other)
+
+    def reflected(self, other):
+        other = self._coerced(other)
+        return NotImplemented if other is None else op(other, self)
+
+    return forward, reflected
+
+
 class Polynomial:
     """Univariate polynomial over Q in dense coefficient form.
 
@@ -188,33 +213,13 @@ class Polynomial:
             out[k] += sign * c
         return _reduced(out, den)
 
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self._plus(other, 1)
-
-    __radd__ = __add__
+    __add__, __radd__ = _operators(lambda a, b: a._plus(b, 1))
+    __sub__, __rsub__ = _operators(lambda a, b: a._plus(b, -1))
 
     def __neg__(self):
         return Polynomial._of(tuple(-c for c in self._ints), self._den)
 
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other._plus(self, -1)
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+    def _times(self, other):
         a, b = self._ints, other._ints
         if not a or not b:
             return _ZERO
@@ -225,12 +230,9 @@ class Polynomial:
                     out[i + j] += ci * cj
         return _reduced(out, self._den * other._den)
 
-    __rmul__ = __mul__
+    __mul__, __rmul__ = _operators(_times)
 
-    def __divmod__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+    def _divmod(self, other):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = self._ints, other._ints
@@ -245,13 +247,10 @@ class Polynomial:
         den = scale * self._den
         return _reduced([q * other._den for q in quot], den), _reduced(rem, den)
 
-    def __floordiv__(self, other):
-        result = self.__divmod__(other)
-        return result if result is NotImplemented else result[0]
-
-    def __mod__(self, other):
-        result = self.__divmod__(other)
-        return result if result is NotImplemented else result[1]
+    __divmod__ = _operators(_divmod)[0]
+    __floordiv__ = _operators(lambda a, b: a._divmod(b)[0])[0]
+    __mod__ = _operators(lambda a, b: a._divmod(b)[1])[0]
+    __eq__ = _operators(lambda a, b: a._ints == b._ints and a._den == b._den)[0]
 
     def __call__(self, x) -> Fraction:
         """The exact value at x: an int, bool or Fraction, or a float
@@ -271,12 +270,6 @@ class Polynomial:
         if not ints or ints[-1] == self._den:
             return self
         return _reduced(list(ints), ints[-1])
-
-    def __eq__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self._ints == other._ints and self._den == other._den
 
     def __hash__(self):
         # a constant equals its Fraction value, so it hashes as one
@@ -490,51 +483,23 @@ class RationalFunction:
             return RationalFunction(other)
         return None
 
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    __add__, __radd__ = _operators(
+        lambda a, b: RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den))
+    __sub__, __rsub__ = _operators(
+        lambda a, b: RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den))
+    __mul__, __rmul__ = _operators(
+        lambda a, b: RationalFunction(a.num * b.num, a.den * b.den))
 
-    def __rsub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+    def _quotient(self, other):
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+    __truediv__, __rtruediv__ = _operators(_quotient)
+    __eq__ = _operators(lambda a, b: a.num == b.num and a.den == b.den)[0]
 
     def at_zero(self) -> Fraction:
         """Value at t = 0; raises PoleAtZeroError if the reduced
@@ -544,12 +509,6 @@ class RationalFunction:
         if not d0:
             raise PoleAtZeroError(self)
         return Fraction(num._ints[0] * den._den, num._den * d0) if num._ints else Fraction(0)
-
-    def __eq__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         # den is monic, so a constant den is 1: the function then equals

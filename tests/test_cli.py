@@ -1,10 +1,14 @@
 import csv
+import io
+import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
 from comrade import (DenseMatrix, ScalarMode, comrade_times_dense, dense_det,
@@ -196,6 +200,34 @@ class TestErrors:
         code, _, err = run(capsys, "det", str(bad))
         assert code == 2
         assert "not valid JSON" in err
+
+    SAMPLE5_TEXT = (support.FIXTURE_DIR / "sample5.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("content, reason", [
+        (SAMPLE5_TEXT.encode("utf-16"), "not UTF-8 text"),
+        (SAMPLE5_TEXT.encode().replace(b'"-1/2"', b'"-1/2\xff"', 1), "not UTF-8 text"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply")],
+        ids=["utf-16", "stray-0xff", "100000-deep"])
+    @pytest.mark.parametrize("command", ["det", "inv", "check"])
+    def test_unreadable_bytes_are_a_one_line_error(self, capsys, tmp_path, command,
+                                                   content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out_path = tmp_path / "inv.json"
+        argv = [command, str(bad)] + (["-o", str(out_path)] if command == "inv" else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: {reason}")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_reading_does_not_depend_on_the_locale(self):
+        # the reader names its encoding, so no default-encoding warning
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "comrade", "det", str(support.FIXTURE_DIR / "sample5.json")],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1/45\n", "")
 
     def test_non_ascii_digit_is_a_located_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -430,3 +462,96 @@ class TestEntryPoint:
         assert proc.stderr.endswith(f"{str(out_path)!r}\n")
         assert proc.stderr.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == []
+
+
+# Files for the property test of the file boundary: valid comrade files
+# of order n <= 6, mutated; truncated JSON; random bytes; and extreme
+# literals in a valid file.  No input allocates much: a mutated n is
+# only compared with the list lengths.
+
+FIELDS = ("n", "beta", "alpha", "gamma", "a")
+
+small_literal = st.one_of(st.integers(-3, 3).map(str),
+                          st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@st.composite
+def valid_comrade(draw):
+    n = draw(st.integers(3, 6))
+    lists = (st.lists(small_literal, min_size=k, max_size=k) for k in (n, n - 1, n - 1, n - 2))
+    return dict(zip(FIELDS, (n, *map(draw, lists))))
+
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | small_literal,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+
+EXTREME_LITERALS = ("0", "-0", "0/5", "1/0", "0/0", "1/-2", "+1", " 1 ", "1.5", "1e3",
+                    "\u0663", "", "/", "--1", "9" * 5000, "1/" + "9" * 5000,
+                    str(-10**400), str(2**1100), "-0/1")
+EXTREME_ORDERS = (10**30, -1, 0, 2, 3.0, 1e308, float("nan"), float("inf"), True, "3",
+                  None, [3])
+
+
+@st.composite
+def mutated_file(draw):
+    data = draw(valid_comrade())
+    key = draw(st.sampled_from(FIELDS + ("extra",)))
+    if draw(st.booleans()):
+        data.pop(key, None)
+    else:
+        data[key] = draw(json_value)
+    return json.dumps(data).encode()
+
+
+@st.composite
+def truncated_file(draw):
+    text = json.dumps(draw(valid_comrade()), indent=2).encode()
+    return text[:draw(st.integers(0, len(text) - 1))]
+
+
+@st.composite
+def extreme_file(draw):
+    data = draw(valid_comrade())
+    field = draw(st.sampled_from(FIELDS))
+    if field == "n":
+        data["n"] = draw(st.sampled_from(EXTREME_ORDERS))
+    else:
+        entries = data[field]
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(EXTREME_LITERALS))
+    return json.dumps(data).encode()
+
+
+#: the exit codes of cli's docstring that det, inv and check can return
+DOCUMENTED_CODES = {0, 2, 3, 4, 5, 6}
+
+
+@pytest.fixture(scope="module")
+def boundary_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary")
+
+
+class TestFileBoundary:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(content=st.one_of(mutated_file(), truncated_file(), st.binary(max_size=64),
+                             extreme_file()),
+           command=st.sampled_from(["det", "inv", "check"]),
+           mode=st.sampled_from([None, "exact", "symbolic", "float"]))
+    def test_any_file_gives_a_documented_code(self, boundary_folder, content, command, mode):
+        path, out_path = boundary_folder / "in.json", boundary_folder / "inv.json"
+        path.write_bytes(content)
+        argv = [command, str(path)] + (["-o", str(out_path)] if command == "inv" else [])
+        argv += ["--mode", mode] if mode else []
+        out_path.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in DOCUMENTED_CODES
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == (code != 0)
+        if code:
+            assert err.getvalue().endswith(errors[0] + "\n") and out.getvalue() == ""
+        assert out_path.exists() == (command == "inv" and code == 0)

@@ -3,11 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-
-try:
-    from hypothesis import given, settings, strategies as st
-except ImportError:                                   # fixed seeds instead
-    given = None
+from hypothesis import given, settings, strategies as st
 
 import support
 from comrade import factorization, scalars
@@ -312,12 +308,10 @@ class TestInvertProperties:
 #: handle; "alpha_{n-1} = 0" sends its unit through column n-1.
 PATTERNS = ("dense", "zero gammas", "zero a", "alpha_{n-1} = 0", "integers")
 
-if given is None:
-    over_seeds = pytest.mark.parametrize("seed", range(3))
-else:
-    def over_seeds(test):
-        return settings(max_examples=3, deadline=None, derandomize=True, database=None)(
-            given(seed=st.integers(0, 2 ** 32 - 1))(test))
+
+def over_seeds(test):
+    return settings(max_examples=3, deadline=None, derandomize=True, database=None)(
+        given(seed=st.integers(0, 2 ** 32 - 1))(test))
 
 
 def patterned_comrade(n, pattern, seed):

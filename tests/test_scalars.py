@@ -6,11 +6,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
-
-try:
-    from hypothesis import assume, given, settings, strategies as st
-except ImportError:                                   # seeded draws instead
-    given = None
+from hypothesis import assume, given, settings, strategies as st
 
 from comrade import scalars
 from comrade import (PoleAtZeroError, Polynomial, RationalFunction, ScalarMode,
@@ -413,22 +409,16 @@ def check_shortcuts(f, c, p):
 
 CONSTANTS = (0, 1, -1, F(3, 7), F(-5, 2))
 
-if given is None:
-    @pytest.mark.parametrize("seed", range(300))
-    def test_gcd_free_shortcuts_are_canonical(seed):
-        rng = random.Random(f"shortcuts:{seed}")
-        c = rng.choice(CONSTANTS + (F(rng.randint(-9, 9), rng.randint(1, 9)),))
-        check_shortcuts(rand_rf(rng, 3), c, rand_poly(rng))
-else:
-    coefficients = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+coefficients = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(num=coefficients, den=coefficients, p=coefficients,
-           c=st.one_of(st.sampled_from(CONSTANTS),
-                       st.builds(F, st.integers(-9, 9), st.integers(1, 9))))
-    def test_gcd_free_shortcuts_are_canonical(num, den, p, c):
-        assume(any(den))
-        check_shortcuts(RationalFunction(Polynomial(num), Polynomial(den)), c, Polynomial(p))
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(num=coefficients, den=coefficients, p=coefficients,
+       c=st.one_of(st.sampled_from(CONSTANTS),
+                   st.builds(F, st.integers(-9, 9), st.integers(1, 9))))
+def test_gcd_free_shortcuts_are_canonical(num, den, p, c):
+    assume(any(den))
+    check_shortcuts(RationalFunction(Polynomial(num), Polynomial(den)), c, Polynomial(p))
 
 
 class TestScalarMode:
@@ -456,6 +446,71 @@ class TestScalarMode:
         assert ScalarMode.FLOAT.finalize(0.25) == 0.25
         with pytest.raises(PoleAtZeroError):
             ScalarMode.SYMBOLIC.finalize(RationalFunction(1) / T)
+
+
+# The operator protocol of both classes, as a table: which operators
+# exist in which operand order, and which operand types are coerced.
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+             "//": operator.floordiv, "%": operator.mod, "divmod": divmod, "==": operator.eq}
+POLY = Polynomial((F(1, 2), -2, 3))
+RF = RationalFunction(Polynomial((1, 2)), Polynomial((0, 3, 1)))
+#: class -> (operand, the operators it has forward, the reflected ones,
+#: the accepted other operands)
+PROTOCOL = {
+    Polynomial: (POLY, {"+", "-", "*", "divmod", "//", "%", "=="}, {"+", "-", "*", "=="},
+                 (3, 0, True, False, F(-5, 7))),
+    RationalFunction: (RF, {"+", "-", "*", "/", "=="}, {"+", "-", "*", "/", "=="},
+                       (3, 0, True, F(-5, 7), Polynomial((1, 1)), Polynomial(()))),
+}
+REFUSED = (1.5, "t", None)
+
+
+def outcome(compute):
+    """What compute() gives, comparable across results and exceptions."""
+    try:
+        value = compute()
+    except (TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc) if isinstance(exc, ZeroDivisionError) else None
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("cls", PROTOCOL, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("name", OPERATORS)
+class TestOperatorProtocol:
+    def test_accepted_operand_is_coerced(self, cls, name):
+        x, forward, reflected, accepted = PROTOCOL[cls]
+        op = OPERATORS[name]
+        for other in accepted:
+            coerced = cls(other) if cls is RationalFunction else Polynomial((other,))
+            if name in forward:
+                assert outcome(lambda: op(x, other)) == outcome(lambda: op(x, coerced))
+            else:
+                assert outcome(lambda: op(x, other))[0] is TypeError
+            if name in reflected:
+                assert outcome(lambda: op(other, x)) == outcome(lambda: op(coerced, x))
+            else:
+                assert outcome(lambda: op(other, x))[0] is TypeError
+
+    def test_refused_operand_raises(self, cls, name):
+        x, op = PROTOCOL[cls][0], OPERATORS[name]
+        for other in REFUSED:
+            if name == "==":
+                assert (x == other, other == x, x != other) == (False, False, True)
+                continue
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+
+    def test_same_class_operands(self, cls, name):
+        x, forward = PROTOCOL[cls][:2]
+        y = -x + 1
+        got = outcome(lambda: OPERATORS[name](x, y))
+        if name in forward:
+            assert got[0] is not TypeError
+        else:
+            assert got == (TypeError, None)         # e.g. p / q on two Polynomials
 
 
 # A Fraction-tuple reference for Polynomial and RationalFunction: the
@@ -489,7 +544,7 @@ def ref_divmod(a, b):
     rem, quot = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
     while len(rem) >= len(b):
         k = len(rem) - len(b)
-        q = quot[k] = rem[-1] / b[-1]
+        q = quot[k] = F(rem[-1]) / b[-1]
         for j, c in enumerate(b):
             rem[k + j] -= q * c
         rem = list(ref_trim(rem))

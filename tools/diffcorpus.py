@@ -33,8 +33,9 @@ names every group that differs from the digest and exits 1;
 ``--update`` rewrites the digest, for a change that alters records on
 purpose and names the groups it altered.  ``tests/test_diffcorpus.py`` checks a
 stride of the inputs and all ``cli:`` and ``scalars:`` groups against it.
-The digest was made with CPython 3.11; another version's argparse may
-word the ``cli:`` help and usage records differently.
+The digest was made with CPython 3.11, and CPython 3.10 and 3.12 give
+the same records; another version's argparse may word the ``cli:`` help
+and usage records differently.
 """
 
 from __future__ import annotations

@@ -56,20 +56,17 @@ _EXIT_CODES = {MatrixFormatError: EXIT_PARSE, SingularMatrixError: EXIT_SINGULAR
 ORACLE_LIMIT = 200
 
 
-def _mode_arg(parser):
-    parser.add_argument("--mode", choices=[m.value for m in ScalarMode], default=None,
-                        help="arithmetic mode (default: exact with one symbolic retry)")
-
-
-def _run(compute, mode_name: str | None):
-    """Apply the mode policy: explicit mode, or EXACT with one SYMBOLIC retry."""
-    if mode_name is not None:
-        return compute(ScalarMode(mode_name))
+def _solve(args, compute):
+    """Load args.file as C and return (C, compute(C, mode)) under the mode
+    policy: the explicit --mode, or EXACT with one SYMBOLIC retry."""
+    C = load_comrade(args.file)
+    if args.mode is not None:
+        return C, compute(C, ScalarMode(args.mode))
     try:
-        return compute(ScalarMode.EXACT)
+        return C, compute(C, ScalarMode.EXACT)
     except ZeroPivotError as exc:
         print(f"note: {exc}", file=sys.stderr)
-        return compute(ScalarMode.SYMBOLIC)
+        return C, compute(C, ScalarMode.SYMBOLIC)
 
 
 def _format_scalar(value) -> str:
@@ -77,15 +74,13 @@ def _format_scalar(value) -> str:
 
 
 def _cmd_det(args) -> int:
-    C = load_comrade(args.file)
-    det = _run(lambda mode: determinant(C, mode), args.mode)
+    _, det = _solve(args, determinant)
     print(_format_scalar(det))
     return EXIT_OK
 
 
 def _cmd_inv(args) -> int:
-    C = load_comrade(args.file)
-    result = _run(lambda mode: invert(C, mode), args.mode)
+    _, result = _solve(args, invert)
     dump_dense(result.inverse, args.output)
     print(f"determinant: {_format_scalar(result.determinant)}")
     if result.substitutions:
@@ -102,8 +97,7 @@ def _residual(C, inverse):
 
 
 def _cmd_check(args) -> int:
-    C = load_comrade(args.file)
-    result = _run(lambda mode: invert(C, mode), args.mode)
+    C, result = _solve(args, invert)
     print(_format_scalar(_residual(C, result.inverse)))
     return EXIT_OK
 
@@ -150,7 +144,8 @@ def _cmd_bench(args) -> int:
         wall = time.perf_counter() - start
         rows.append([n, mode.value, result.op_count, f"{wall:.6f}",
                      _format_scalar(_bench_epsilon(C, result.inverse))])
-    with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:
+    with (open(args.output, "w", encoding="utf-8", newline="") if args.output
+          else nullcontext(sys.stdout)) as out:
         csv.writer(out).writerows(rows)
     return EXIT_OK
 
@@ -165,22 +160,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(tridiagonal plus a dense last row).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("det", help="print the determinant of a comrade matrix file")
-    p.add_argument("file")
-    _mode_arg(p)
-    p.set_defaults(handler=_cmd_det)
-
-    p = sub.add_parser("inv", help="write the inverse as a dense matrix file")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    _mode_arg(p)
-    p.set_defaults(handler=_cmd_inv)
-
-    p = sub.add_parser("check", help="print the inf-norm of C*C^-1 - I "
-                                     "(exactly 0 on the exact paths)")
-    p.add_argument("file")
-    _mode_arg(p)
-    p.set_defaults(handler=_cmd_check)
+    for name, handler, text in (
+            ("det", _cmd_det, "print the determinant of a comrade matrix file"),
+            ("inv", _cmd_inv, "write the inverse as a dense matrix file"),
+            ("check", _cmd_check, "print the inf-norm of C*C^-1 - I "
+                                  "(exactly 0 on the exact paths)")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        if name == "inv":
+            p.add_argument("-o", "--output", required=True)
+        p.add_argument("--mode", choices=[m.value for m in ScalarMode], default=None,
+                       help="arithmetic mode (default: exact with one symbolic retry)")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("gen", help="generate a matrix file from a built-in family")
     p.add_argument("--family", choices=["example33", "random"], required=True)

@@ -72,7 +72,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
+from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError, _column_map
 from .scalars import Polynomial, RationalFunction, ScalarMode, _low_digit, _unpack
 
 class ZeroPivotError(ArithmeticError):
@@ -208,17 +208,13 @@ class _ContinuantFactors(LUFactors):
 def integer_scaled(C: ComradeMatrix):
     """(c, C'): c_k is the lcm of the denominators in column k of the
     rational C, and C' = C diag(c) is C with integer entries."""
-    families = [[v.as_integer_ratio() for v in getattr(C, name)]
-                for name in ("beta", "alpha", "gamma", "a")]
-    scaled = lambda r, c: r[0] * (c // r[1])
-    beta, alpha, gamma, a = families
+    families = [[v.as_integer_ratio() for v in f] for f in (C.beta, C.alpha, C.gamma, C.a)]
     b, al, g, e = ([*map(operator.itemgetter(1), f)] for f in families)
     # beta_k and gamma_{k+1} sit in column k, alpha_k in column k+1 and
     # a_m in column n-m+1 of the last row
     scale = [*map(math.lcm, b, [1, *al], [*g, 1], [*reversed(e), 1, 1])]
-    return scale, ComradeMatrix(
-        C.n, tuple(map(scaled, beta, scale)), tuple(map(scaled, alpha, scale[1:])),
-        tuple(map(scaled, gamma, scale)), tuple(map(scaled, a, scale[C.n - 3::-1])))
+    ratios = ComradeMatrix(C.n, *families)
+    return scale, _column_map(lambda r, c: r[0] * (c // r[1]), ratios, scale)
 
 
 def continuants(S: ComradeMatrix, bump=None):
@@ -374,10 +370,7 @@ def perturbed(F: LUFactors) -> ComradeMatrix:
     S = F.matrix
     if F.mode is ScalarMode.FLOAT:
         return S
-    c = F.scale
-    entry = lambda v, c_k: F._quotient(v, 1, c_k)
-    return ComradeMatrix(S.n, tuple(map(entry, S.beta, c)), tuple(map(entry, S.alpha, c[1:])),
-                         tuple(map(entry, S.gamma, c)), tuple(map(entry, S.a, c[S.n - 3::-1])))
+    return _column_map(lambda v, c_k: F._quotient(v, 1, c_k), S, F.scale)
 
 
 def reconstruct_LU(F: LUFactors):

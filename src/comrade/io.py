@@ -130,7 +130,7 @@ def _write(path, n: int, fields) -> None:
     """Write {"n": n, name: value, ..} for the (name, value) pairs of
     ``fields`` in the byte format of the module docstring, a list of
     strings at a time, so the text of the file is never held whole."""
-    with Path(path).open("w") as out:
+    with Path(path).open("w", encoding="utf-8") as out:
         out.write(f'{{\n  "n": {n}')
         for name, value in fields:
             out.write(f',\n  "{name}": ')

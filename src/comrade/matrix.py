@@ -9,7 +9,10 @@ A comrade matrix is tridiagonal except for a dense last row:
     [ a_n     a_{n-1}  ...      a_3      gamma_n beta_n]
 
 The compact form stores the four entry families as O(n) tuples; dense
-position (n, j), 1-based, holds a_{n-j+1} for j = 1..n-2.
+position (n, j), 1-based, holds a_{n-j+1} for j = 1..n-2.  Where each
+entry sits is written once per direction: ``_row_entries`` lists each
+row's entries with their columns, for the dense helpers, and
+``_column_map`` pairs each entry with the scale of its column.
 """
 
 from __future__ import annotations
@@ -113,25 +116,34 @@ class DenseMatrix:
                                          for row in self.rows))
 
 
+def _row_entries(C: ComradeMatrix) -> list:
+    """Row by row, the structural entries of C as (0-based column, value)
+    pairs, in the order ``comrade_times_dense`` sums them: beta_i,
+    alpha_i, then gamma_i on a band row; beta_n, gamma_n, then
+    a_n .. a_3 from the left on the last row."""
+    n = C.n
+    rows = [[(i, C.beta[i]), (i + 1, C.alpha[i]), (i - 1, C.gamma[i - 1])]
+            for i in range(1, n - 1)]
+    return [[(0, C.beta[0]), (1, C.alpha[0])], *rows,
+            [(n - 1, C.beta[-1]), (n - 2, C.gamma[-1]), *enumerate(reversed(C.a))]]
+
+
+def _column_map(f, C: ComradeMatrix, scale) -> ComradeMatrix:
+    """The matrix of f(v, scale_k) for each entry v of C, with k its
+    column: beta_k and gamma_{k+1} sit in column k, alpha_k in column
+    k+1 and a_m in column n-m+1."""
+    n = C.n
+    return ComradeMatrix(n, tuple(map(f, C.beta, scale)), tuple(map(f, C.alpha, scale[1:])),
+                         tuple(map(f, C.gamma, scale)), tuple(map(f, C.a, scale[n - 3::-1])))
+
+
 def to_dense(C: ComradeMatrix) -> DenseMatrix:
     """Expand the compact form; structural zeros become Fraction(0)."""
-    n = C.n
-    zero = Fraction(0)
-    rows = []
-    for i in range(n - 1):  # 1-based rows 1..n-1: band only
-        row = [zero] * n
-        if i > 0:
-            row[i - 1] = C.gamma[i - 1]  # gamma_{i+1}
-        row[i] = C.beta[i]
-        row[i + 1] = C.alpha[i]
-        rows.append(tuple(row))
-    last = [zero] * n
-    for j0 in range(n - 2):              # (n, j) holds a_{n-j+1}
-        last[j0] = C.a[n - 3 - j0]
-    last[n - 2] = C.gamma[n - 2]         # gamma_n
-    last[n - 1] = C.beta[n - 1]
-    rows.append(tuple(last))
-    return DenseMatrix(n, tuple(rows))
+    rows = [[Fraction(0)] * C.n for _ in range(C.n)]
+    for row, entries in zip(rows, _row_entries(C)):
+        for k, v in entries:
+            row[k] = v
+    return DenseMatrix.from_rows(rows)
 
 
 def comrade_times_dense(C: ComradeMatrix, M: DenseMatrix) -> DenseMatrix:
@@ -140,27 +152,13 @@ def comrade_times_dense(C: ComradeMatrix, M: DenseMatrix) -> DenseMatrix:
         raise ValueError("size mismatch")
     n = C.n
     rows = []
-    for i in range(n - 1):
-        acc = [C.beta[i] * v for v in M.rows[i]]
-        above = M.rows[i + 1]
-        for j in range(n):
-            acc[j] += C.alpha[i] * above[j]
-        if i > 0:
-            below = M.rows[i - 1]
-            g = C.gamma[i - 1]
+    for (k, v), *rest in _row_entries(C):
+        acc = [v * w for w in M.rows[k]]
+        for k, v in rest:
+            src = M.rows[k]
             for j in range(n):
-                acc[j] += g * below[j]
+                acc[j] += v * src[j]
         rows.append(tuple(acc))
-    acc = [C.beta[n - 1] * v for v in M.rows[n - 1]]
-    g = C.gamma[n - 2]
-    for j in range(n):
-        acc[j] += g * M.rows[n - 2][j]
-    for j0 in range(n - 2):
-        coeff = C.a[n - 3 - j0]
-        src = M.rows[j0]
-        for j in range(n):
-            acc[j] += coeff * src[j]
-    rows.append(tuple(acc))
     return DenseMatrix(n, tuple(rows))
 
 
@@ -169,9 +167,11 @@ def dense_times_comrade(M: DenseMatrix, C: ComradeMatrix) -> DenseMatrix:
     if C.n != M.n:
         raise ValueError("size mismatch")
     n = C.n
-    dense = to_dense(C)
-    col_nonzeros = [[(k, dense.rows[k][j]) for k in range(n) if dense.rows[k][j] != 0]
-                    for j in range(n)]
+    col_nonzeros = [[] for _ in range(n)]
+    for k, entries in enumerate(_row_entries(C)):
+        for j, v in entries:
+            if v != 0:
+                col_nonzeros[j].append((k, v))
     rows = []
     for i in range(n):
         mrow = M.rows[i]

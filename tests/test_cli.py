@@ -229,6 +229,19 @@ class TestErrors:
             capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1/45\n", "")
 
+    def test_writing_does_not_depend_on_the_locale(self, tmp_path):
+        # both writers name their encoding, so no default-encoding warning
+        for argv in (["gen", "--family", "random", "--n", "5", "--seed", "3"],
+                     ["inv", str(support.FIXTURE_DIR / "sample5.json")],
+                     ["bench", "--family", "example33", "--sizes", "4", "--mode", "exact"]):
+            out_path = tmp_path / f"{argv[0]}.out"
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "comrade", *argv, "-o", str(out_path)],
+                capture_output=True, text=True)
+            assert (argv[0], proc.returncode, proc.stderr) == (argv[0], 0, "")
+            assert out_path.stat().st_size > 0
+
     def test_non_ascii_digit_is_a_located_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 3, "beta": ["1", "1", "1"], "alpha": ["1", "\\u0663"],'

@@ -141,9 +141,16 @@ class TestDenseMatrix:
 
 
 class TestStructuredProducts:
-    @pytest.mark.parametrize("n,seed", [(3, 0), (4, 1), (5, 2), (7, 3)])
-    def test_match_dense_matmul(self, n, seed):
-        C = random_comrade(n, seed)
+    @pytest.mark.parametrize("n,seed,pattern", [
+        *(pytest.param(n, seed, None, id=f"{n}-{seed}")
+          for n, seed in [(3, 0), (4, 1), (5, 2), (7, 3)]),
+        # zeros in every family: pivots, alphas, gammas and a
+        *((n, 0, pattern) for pattern in support.ZERO_PATTERNS for n in (3, 4, 8))])
+    def test_match_dense_matmul(self, n, seed, pattern):
+        if pattern is None:
+            C = random_comrade(n, seed)
+        else:
+            C = support.zero_patterned_comrade(n, pattern, seed)
         rng = random.Random(seed + 100)
         M = DenseMatrix.from_rows(
             [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]

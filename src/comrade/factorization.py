@@ -72,7 +72,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError, _column_map
+from .matrix import ComradeMatrix, SingularMatrixError, _column_map, to_dense
 from .scalars import Polynomial, RationalFunction, ScalarMode, _low_digit, _unpack
 
 class ZeroPivotError(ArithmeticError):
@@ -199,7 +199,10 @@ class _ContinuantFactors(LUFactors):
         SYMBOLIC factors were built from before any t went in, and the
         lowest balanced digit of every packed D_i and X_i.  The scales are
         the same and the log is empty.  A D_i(0), i < n, may be zero: the
-        column recursion never divides by it, but mu and x would."""
+        column recursion never divides by it, but mu and x would.
+        EXACT factors already are those of C'(0) and come back as they are."""
+        if self.mode is ScalarMode.EXACT:
+            return self
         low = lambda v: _low_digit(v, self.width)
         return _ContinuantFactors(ScalarMode.EXACT, (), self.scale, self.scaled,
                                   [*map(low, self.D)], [*map(low, self.X)], 0, self.scaled)
@@ -375,26 +378,19 @@ def perturbed(F: LUFactors) -> ComradeMatrix:
 
 def reconstruct_LU(F: LUFactors):
     """Materialize (L, U) of the factors F as DenseMatrix pairs for
-    verification.
+    verification.  Both keep the comrade pattern, so each is built as a
+    ComradeMatrix and expanded by ``to_dense``: L has a unit diagonal,
+    ell_k = gamma_{k+1} / mu_k below it and the last row
+    (x_1, .., x_{n-1}, 1); U has the pivots mu on the diagonal and the
+    alpha of ``perturbed(F)`` above it.  Every other entry is zero,
+    Fraction(0) off the comrade pattern.
 
     L*U equals ``to_dense(perturbed(F))``: in EXACT/FLOAT mode there are
     never substitutions, so L*U is the input, up to roundoff in FLOAT.
     """
-    n = F.n
-    M = perturbed(F)
-    w = F.mode.scalar
-    one, zero = w(1), w(0)
-    lower = [[zero] * n for _ in range(n)]
-    for i in range(n - 1):
-        lower[i][i] = one
-        if i > 0:
-            lower[i][i - 1] = M.gamma[i - 1] / F.mu[i - 1]   # gamma_{i+1} / mu_i
-    lower[n - 1][: n - 1] = list(F.x)
-    lower[n - 1][n - 1] = one
-    upper = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        upper[i][i] = F.mu[i]
-        if i < n - 1:
-            upper[i][i + 1] = M.alpha[i]
-    return (DenseMatrix(n, tuple(tuple(r) for r in lower)),
-            DenseMatrix(n, tuple(tuple(r) for r in upper)))
+    n, M = F.n, perturbed(F)
+    one, zero = F.mode.scalar(1), F.mode.scalar(0)
+    ell = tuple(map(operator.truediv, M.gamma[:-1], F.mu))
+    L = ComradeMatrix(n, (one,) * n, (zero,) * (n - 1), (*ell, F.x[-1]), F.x[-2::-1])
+    U = ComradeMatrix(n, F.mu, M.alpha, (zero,) * (n - 1), (zero,) * (n - 2))
+    return to_dense(L), to_dense(U)

@@ -49,13 +49,14 @@ digits: in ``invert``, only for inputs with a zero alpha.
 
 FLOAT solves every column from the LU factors, which hold C in
 binary64, by ``_solve_column``: columns n and n-1, and columns n-2 .. 1
-as well (``lu_columns``), while ``remaining_columns`` refuses FLOAT.  So
-in every mode each phase after ``factorize`` reads only the factors.  In
-binary64 the recursion runs against the dominant solution of its own
-homogeneous part and amplifies rounding by a constant factor per column
-(about 2.618 on example33), while the forward pass over L and the
-backward pass over U never divide by alpha.  Exact arithmetic has no
-rounding to amplify, so EXACT and SYMBOLIC keep the paper's recursion.
+as well, which ``remaining_columns`` takes from ``lu_columns``.  So
+``invert`` runs the same three phases in every mode, and each phase
+after ``factorize`` reads only the factors.  In binary64 the recursion
+runs against the dominant solution of its own homogeneous part and
+amplifies rounding by a constant factor per column (about 2.618 on
+example33), while the forward pass over L and the backward pass over U
+never divide by alpha.  Exact arithmetic has no rounding to amplify, so
+EXACT and SYMBOLIC keep the paper's recursion.
 """
 
 from __future__ import annotations
@@ -161,11 +162,12 @@ def _refuse_zero_alpha(C: ComradeMatrix):
 def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: bool = False):
     """Columns n-2 down to 1 (returned in that order) via the four-term
     column recursion on the EXACT or SYMBOLIC factors F, which hold C'
-    (of M(t) in SYMBOLIC mode) and the unit D_n; FLOAT columns come from
-    ``lu_columns``.  EXACT factors raise ZeroPivotError at a zero
-    alpha_j, j <= n-2, before any tally; SYMBOLIC factors hold t there.
-    Both raise SingularMatrixError at a singular C: EXACT always,
-    SYMBOLIC with ``finalize``.
+    (of M(t) in SYMBOLIC mode) and the unit D_n.  EXACT factors raise
+    ZeroPivotError at a zero alpha_j, j <= n-2, before any tally;
+    SYMBOLIC factors hold t there.  Both raise SingularMatrixError at a
+    singular C: EXACT always, SYMBOLIC with ``finalize``.  FLOAT factors
+    give the columns of ``lu_columns`` in this order, with its tally:
+    nothing there divides by alpha, and binary64 entries are final.
 
     The recursion starts from columns n and n-1 of adj(C') in closed
     form (see the module docstring).  The returned Fractions and
@@ -176,8 +178,7 @@ def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: b
     ``mode.finalize``: in SYMBOLIC mode the Fractions c_i adj_ij(0) / D(0)
     are read off the packed integers and no RationalFunction is built."""
     if F.mode is ScalarMode.FLOAT:
-        raise ValueError("remaining_columns runs the exact recursion; "
-                         "FLOAT columns come from lu_columns")
+        return lu_columns(F, ops)[::-1]
     if ops is None:
         ops = OpCounter()
     C, unit, n = F.matrix, F.D[-1], F.n
@@ -225,10 +226,13 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     last two columns in EXACT (D_n = 0) and FLOAT (mu_n = 0), and in
     SYMBOLIC (D_n(0) = 0) in the last two columns at t = 0 when the log
     holds no alpha, else in the recursion at t = 0.  So a FLOAT pivot
-    product that only underflows to 0.0 is not singular.  Every phase
-    after ``factorize`` reads only its factors, in SYMBOLIC mode with no
-    alpha logged their t = 0 form ``unperturbed()``; the substitution
-    log is ``factorize``'s, pivots first, then alphas.
+    product that only underflows to 0.0 is not singular.  Every mode runs
+    ``factorize``, ``last_two_columns`` and ``remaining_columns``, and
+    each phase after ``factorize`` reads only its factors, in SYMBOLIC
+    mode with no alpha logged their t = 0 form ``unperturbed()``; the
+    substitution log is ``factorize``'s, pivots first, then alphas.
+    FLOAT refuses a zero alpha_j, j <= n - 2, of the rational C, as EXACT
+    does, though none of its phases divides by alpha.
 
     EXACT and SYMBOLIC take 7n^2 - 5n - 11 field operations when nothing
     is degenerate: 6n - 9 to factorize, n - 1 for the determinant, 4n - 1
@@ -247,10 +251,8 @@ def invert(C: ComradeMatrix, mode: ScalarMode) -> InverseResult:
     col_n, col_n1 = last_two_columns(work, ops)
     if mode is ScalarMode.FLOAT:
         _refuse_zero_alpha(C)                   # a policy: lu_columns never divides by alpha
-        columns = lu_columns(F, ops)
-    else:
-        # before col_n is finalized: a singular C is refused, not a pole
-        columns = remaining_columns(work, ops, finalize=True)[::-1]
+    # before col_n is finalized: a singular C is refused, not a pole
+    columns = remaining_columns(work, ops, finalize=True)[::-1]
     rows = tuple(zip(*columns, map(mode.finalize, col_n1), map(mode.finalize, col_n)))
     if mode is ScalarMode.FLOAT:
         for i0, row in enumerate(rows):

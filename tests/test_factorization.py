@@ -153,6 +153,42 @@ class TestReconstructLU:
                     expected = expected + T
                 assert product[i][j] == expected
 
+    @pytest.mark.parametrize("mode", list(ScalarMode))
+    def test_pattern_and_product_over_zero_patterns(self, mode):
+        # L is unit lower triangular, zero off the comrade pattern, and U
+        # upper bidiagonal; L*U is perturbed(F) exactly, or in FLOAT up to
+        # the backward error n u (|L| |U|) of Higham (2002), ch. 9, with
+        # u = 2^-53 and the product L*U taken exactly
+        factored = 0
+        for n in range(3, 15):
+            for pattern in support.ZERO_PATTERNS:
+                for seed in range(3):
+                    C = support.zero_patterned_comrade(n, pattern, seed)
+                    try:
+                        Ft = factorize(C, mode)
+                    except ZeroPivotError:
+                        continue
+                    L, U = reconstruct_LU(Ft)
+                    M = to_dense(perturbed(Ft))
+                    for i in range(n):
+                        assert L[i][i] == 1
+                        for j in range(n):
+                            if j > i or (j < i - 1 and i < n - 1):
+                                assert L[i][j] == 0, (n, pattern, seed, i, j)
+                            if j < i or j > i + 1:
+                                assert U[i][j] == 0, (n, pattern, seed, i, j)
+                    if mode is not ScalarMode.FLOAT:
+                        assert L.matmul(U) == M, (n, pattern, seed)
+                    else:
+                        Lq, Uq = ([[*map(F, row)] for row in A.rows] for A in (L, U))
+                        for i in range(n):
+                            for j in range(n):
+                                terms = [Lq[i][k] * Uq[k][j] for k in range(n)]
+                                assert abs(sum(terms) - F(M[i][j])) <= \
+                                    n * sum(map(abs, terms)) / 2 ** 53, (n, pattern, seed)
+                    factored += 1
+        assert factored                 # EXACT and FLOAT refuse most of these inputs
+
 
 class TestPerturbed:
     def test_symbolic_bump(self):

@@ -173,11 +173,16 @@ class TestDegenerateHandling:
         assert res.substitutions == ()
         assert res.inverse == dense_invert(to_dense(C))
 
-    def test_remaining_columns_refuses_float(self):
-        # FLOAT solves columns 1..n-2 from the LU factors instead
-        with pytest.raises(ValueError, match="lu_columns"):
-            remaining_columns(factorize(example33(5), ScalarMode.FLOAT))
-
+    @pytest.mark.parametrize("C", [example33(5), support.SAMPLE5, support.ALPHA_ZERO4],
+                             ids=["example33(5)", "SAMPLE5", "ALPHA_ZERO4"])
+    def test_remaining_columns_of_float_are_lu_columns(self, C):
+        # FLOAT solves columns n-2..1 from the LU factors, which never
+        # divide by alpha: a zero one is refused by invert, not here
+        Ff = factorize(C, ScalarMode.FLOAT)
+        ops, lu_ops = OpCounter(), OpCounter()
+        assert remaining_columns(Ff, ops) == lu_columns(Ff, lu_ops)[::-1]
+        assert remaining_columns(Ff, finalize=True) == lu_columns(Ff)[::-1]
+        assert ops.count == lu_ops.count
 
     def test_remaining_columns_refuses_zero_alpha_exact(self):
         # the recursion divides by alpha_2 and alpha_3: the lowest zero one
@@ -552,6 +557,13 @@ class TestPivotOnlySymbolicInvert:
             D, X, _ = factorization.continuants(S)
             assert (F0.mode, F0.substitutions, F0.width) == (ScalarMode.EXACT, (), 0)
             assert (F0.scale, F0.matrix, F0.D, F0.X) == (scale, S, D, X)
+
+    @pytest.mark.parametrize("C", [support.SAMPLE5, example33(6)], ids=["SAMPLE5", "example33(6)"])
+    def test_unperturbed_exact_factors_are_themselves(self, C):
+        # EXACT factors already are those of C'(0), with an empty log
+        F = factorize(C, ScalarMode.EXACT)
+        assert F.unperturbed() is F
+        assert last_two_columns(F.unperturbed()) == last_two_columns(F)
 
     @pytest.mark.parametrize("C", [support.SINGULAR4, SINGULAR_ZERO_PIVOT4],
                              ids=["SINGULAR4", "SINGULAR_ZERO_PIVOT4"])

@@ -159,6 +159,13 @@ class TestStructuredProducts:
         assert comrade_times_dense(C, M) == D.matmul(M)
         assert dense_times_comrade(M, C) == M.matmul(D)
 
+    def test_size_mismatch_raises(self):
+        C, M = support.SAMPLE5, DenseMatrix.identity(4)
+        with pytest.raises(ValueError, match="size mismatch"):
+            comrade_times_dense(C, M)
+        with pytest.raises(ValueError, match="size mismatch"):
+            dense_times_comrade(M, C)
+
     def test_identity_cases(self):
         C = support.SAMPLE5
         I = DenseMatrix.identity(5)

@@ -306,6 +306,12 @@ class TestRationalFunction:
             if r.num.is_zero:
                 assert r.den == Polynomial((1,))
 
+    def test_truth_value(self):
+        assert not RationalFunction(0)
+        assert not RationalFunction(Polynomial(()), POLY_T)
+        assert RationalFunction(Polynomial((1, 1)), POLY_T)
+        assert RationalFunction(F(-1, 2))
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(POLY_T, Polynomial(()))

@@ -72,7 +72,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .matrix import ComradeMatrix, SingularMatrixError, _column_map, to_dense
+from .matrix import ComradeMatrix, SingularMatrixError, _column_map, _row_entries, to_dense
 from .scalars import Polynomial, RationalFunction, ScalarMode, _low_digit, _unpack
 
 class ZeroPivotError(ArithmeticError):
@@ -261,9 +261,9 @@ def continuant_factors(C: ComradeMatrix, mode: ScalarMode) -> _ContinuantFactors
     n = C.n
     # c_{j+1}, the coefficient of t at a zero alpha_j with j <= n - 2, else 0
     t_alpha = [scale[j] if j < n - 1 and not v else 0 for j, v in enumerate(S.alpha, 1)]
-    rows = [(S.beta[i0], S.alpha[i0], t_alpha[i0], *S.gamma[i0 - 1:i0]) for i0 in range(n - 1)]
-    rows.append((S.beta[-1], S.gamma[-1], *S.a))
-    bound = math.prod(c + sum(map(abs, row)) for c, row in zip(scale, rows))
+    # row i's sum of |coefficient|: its entries, the t of its alpha and its bump c_i
+    bound = math.prod(c + t + sum(abs(v) for _, v in row)
+                      for c, t, row in zip(scale, (*t_alpha, 0), _row_entries(S)))
     width = bound.bit_length() + 1
     packed = replace(S, alpha=tuple(v + (c << width) for v, c in zip(S.alpha, t_alpha)))
     bump = [c << width for c in scale]                  # c_i t at t = 2^width

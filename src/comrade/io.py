@@ -69,21 +69,20 @@ def _order(data, path) -> int:
 
 
 def _rationals(values: list, where: str, parsed: dict) -> tuple:
-    """The rational strings of one list or row, parsed; ``where`` names
-    the list in a diagnostic, e.g. "m.json: beta" or "m.json: rows[2]".
-    Each distinct string not yet in ``parsed``, the string -> Fraction
-    table it shares with the lists read before it, is parsed once, in
-    order of first appearance, and added; the first bad entry is named."""
-    if not set(map(type, values)) <= {str}:
-        i = next(i for i, v in enumerate(values) if type(v) is not str)
-        _rationals(values[:i], where, parsed)   # a bad literal before it comes first
-        raise MatrixFormatError(f"{where}[{i}]: expected a rational string")
-    try:
-        for v in dict.fromkeys(values):
-            if v not in parsed:
+    """The rational strings of one list or row as Fractions; ``where``
+    names the list in a diagnostic, e.g. "m.json: beta" or "m.json:
+    rows[2]".  One in-order pass checks each entry and parses each string
+    not yet in ``parsed``, the string -> Fraction table it shares with the
+    lists read before it, so repeats share one Fraction; the first entry
+    that is not a string or not a rational literal is named at its index."""
+    for i, v in enumerate(values):
+        if type(v) is not str:
+            raise MatrixFormatError(f"{where}[{i}]: expected a rational string")
+        if v not in parsed:
+            try:
                 parsed[v] = parse_rational(v)
-    except ValueError as exc:
-        raise MatrixFormatError(f"{where}[{values.index(v)}]: {exc}") from exc
+            except ValueError as exc:
+                raise MatrixFormatError(f"{where}[{i}]: {exc}") from exc
     return tuple(map(parsed.__getitem__, values))
 
 

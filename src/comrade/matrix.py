@@ -11,8 +11,9 @@ A comrade matrix is tridiagonal except for a dense last row:
 The compact form stores the four entry families as O(n) tuples; dense
 position (n, j), 1-based, holds a_{n-j+1} for j = 1..n-2.  Where each
 entry sits is written once per direction: ``_row_entries`` lists each
-row's entries with their columns, for the dense helpers, and
-``_column_map`` pairs each entry with the scale of its column.
+row's entries with their columns, for ``to_dense``, both structured
+products and the packing bound of ``factorization.continuant_factors``,
+and ``_column_map`` pairs each entry with the scale of its column.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def _row_entries(C: ComradeMatrix) -> list:
     """Row by row, the structural entries of C as (0-based column, value)
     pairs, in the order ``comrade_times_dense`` sums them: beta_i,
     alpha_i, then gamma_i on a band row; beta_n, gamma_n, then
-    a_n .. a_3 from the left on the last row."""
+    a_n .. a_3 from the left on the last row.  ``to_dense``, both
+    structured products and the packing bound of SYMBOLIC
+    ``factorization.continuant_factors`` read it."""
     n = C.n
     rows = [[(i, C.beta[i]), (i + 1, C.alpha[i]), (i - 1, C.gamma[i - 1])]
             for i in range(1, n - 1)]
@@ -150,34 +153,30 @@ def comrade_times_dense(C: ComradeMatrix, M: DenseMatrix) -> DenseMatrix:
     """C*M in O(n^2) using the band-plus-last-row structure."""
     if C.n != M.n:
         raise ValueError("size mismatch")
-    n = C.n
     rows = []
     for (k, v), *rest in _row_entries(C):
         acc = [v * w for w in M.rows[k]]
         for k, v in rest:
-            src = M.rows[k]
-            for j in range(n):
-                acc[j] += v * src[j]
+            acc = [s + v * w for s, w in zip(acc, M.rows[k])]
         rows.append(tuple(acc))
-    return DenseMatrix(n, tuple(rows))
+    return DenseMatrix(C.n, tuple(rows))
 
 
 def dense_times_comrade(M: DenseMatrix, C: ComradeMatrix) -> DenseMatrix:
-    """M*C in O(n^2): each column of C has at most four nonzeros."""
+    """M*C in O(n^2): entry (i, j) starts at M[i][0] * 0, a zero of M's
+    scalars, and adds M[i][k] v for each nonzero entry v of C at (k, j),
+    by increasing k."""
     if C.n != M.n:
         raise ValueError("size mismatch")
-    n = C.n
-    col_nonzeros = [[] for _ in range(n)]
-    for k, entries in enumerate(_row_entries(C)):
-        for j, v in entries:
-            if v != 0:
-                col_nonzeros[j].append((k, v))
+    nonzeros = [[(j, v) for j, v in row if v != 0] for row in _row_entries(C)]
     rows = []
-    for i in range(n):
-        mrow = M.rows[i]
-        rows.append(tuple(sum((mrow[k] * v for k, v in col_nonzeros[j]), start=mrow[0] * 0)
-                          for j in range(n)))
-    return DenseMatrix(n, tuple(rows))
+    for mrow in M.rows:
+        acc = [mrow[0] * 0] * C.n
+        for m, row in zip(mrow, nonzeros):
+            for j, v in row:
+                acc[j] += m * v
+        rows.append(tuple(acc))
+    return DenseMatrix(C.n, tuple(rows))
 
 
 def example33(n: int) -> ComradeMatrix:

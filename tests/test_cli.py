@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -168,6 +169,30 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path), "--mode", "float")
         assert code == 0
         assert 0 <= float(out) < 1e-12
+
+    @pytest.fixture
+    def off_by_half(self, monkeypatch):
+        """`check` sees an inverse with 1/2 added to entry (1, 1)."""
+        def wrong_invert(C, mode):
+            result = invert(C, mode)
+            rows = [list(row) for row in result.inverse.rows]
+            rows[0][0] += F(1, 2)
+            return dataclasses.replace(result, inverse=DenseMatrix.from_rows(rows))
+        monkeypatch.setattr(cli, "invert", wrong_invert)
+
+    @pytest.mark.parametrize("mode_argv", [[], ["--mode", "symbolic"]], ids=["default", "symbolic"])
+    def test_exact_residual_sees_a_wrong_inverse(self, capsys, comrade_file, off_by_half,
+                                                 mode_argv):
+        # column 1 of C*S - I is C's column 1, (0, 2, 0, -1), halved
+        path = comrade_file(support.ZERO_PIVOT4)
+        code, out, _ = run(capsys, "check", str(path), *mode_argv)
+        assert (code, out) == (0, "1\n")
+
+    def test_float_residual_sees_a_wrong_inverse(self, capsys, comrade_file, off_by_half):
+        path = comrade_file(example33(6))
+        code, out, _ = run(capsys, "check", str(path), "--mode", "float")
+        assert code == 0
+        assert float(out) >= 0.5
 
     def test_float_overflow_is_an_error(self, capsys, comrade_file, tmp_path):
         path = comrade_file(support.TINY_PIVOT3)

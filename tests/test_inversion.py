@@ -574,3 +574,66 @@ class TestPivotOnlySymbolicInvert:
             invert(C, ScalarMode.SYMBOLIC)
         with pytest.raises(SingularMatrixError):   # D_n(0) = 0, in the t = 0 last two columns
             last_two_columns(F.unperturbed())
+
+
+#: Entries from a small alphabet, zero weighted, so that zero pivots,
+#: zero alphas and singular matrices turn up in every pattern.  FLOAT
+#: draws add, about one entry in 13, one at or beyond binary64 range or
+#: precision, so that most draws still reach the phases after the entries'
+#: conversion.
+SMALL_ALPHABET = (0, 0, 0, 1, -1, 2, -2, F(1, 3), F(-5, 2))
+EXTREMES = (10 ** 300, -10 ** 300, F(1, 10 ** 300), 10 ** 400, F(1, 10 ** 400), 2 ** 1024)
+FLOAT_ALPHABET = SMALL_ALPHABET * 8 + EXTREMES
+
+
+@st.composite
+def alphabet_comrade(draw, alphabet):
+    n = draw(st.integers(3, 7))
+    entries = lambda count: draw(st.lists(st.sampled_from(alphabet),
+                                          min_size=count, max_size=count))
+    return make_comrade(n, entries(n), entries(n - 1), entries(n - 1), entries(n - 2))
+
+
+class TestSmallAlphabet:
+    """Every mode against the dense oracle, or against its own named
+    errors, on matrices whose zeros fall anywhere."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(C=alphabet_comrade(SMALL_ALPHABET))
+    def test_exact_modes_match_the_oracle(self, C):
+        D = to_dense(C)
+        det = dense_det(D)
+        assert determinant(C, ScalarMode.SYMBOLIC) == det
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                invert(C, ScalarMode.SYMBOLIC)
+            return
+        inverse, log = dense_invert(D), factorize(C, ScalarMode.SYMBOLIC).substitutions
+        symbolic = invert(C, ScalarMode.SYMBOLIC)
+        assert (symbolic.inverse, symbolic.determinant, symbolic.substitutions) == (
+            inverse, det, log)
+        if log:
+            with pytest.raises(ZeroPivotError):
+                invert(C, ScalarMode.EXACT)
+        else:
+            assert invert(C, ScalarMode.EXACT).inverse == inverse
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(C=alphabet_comrade(FLOAT_ALPHABET))
+    def test_float_raises_only_named_errors(self, C):
+        named = (ZeroPivotError, SingularMatrixError, NonFiniteResultError)
+        for phase in (lambda: invert(C, ScalarMode.FLOAT),
+                      lambda: determinant(C, ScalarMode.FLOAT)):
+            try:
+                phase()
+            except named:
+                pass
+        try:
+            factors = factorize(C, ScalarMode.FLOAT)
+        except named:
+            return
+        for phase in (last_two_columns, remaining_columns):
+            try:
+                phase(factors)
+            except named:
+                pass

@@ -159,6 +159,29 @@ class TestStructuredProducts:
         assert comrade_times_dense(C, M) == D.matmul(M)
         assert dense_times_comrade(M, C) == M.matmul(D)
 
+    def test_float_bits_are_frozen(self):
+        # `==` cannot see a signed zero flip; the hex text can.  C holds
+        # explicit (signed) zeros: M*C skips them, so M's infinities meet
+        # no zero there and make no nan.  C*M starts each row at its first
+        # entry's product and M*C each entry at M[i][0] * 0; the signs of
+        # the zeros below pin both starts and the order of the terms.
+        inf, tiny = float("inf"), 5e-324
+        C = ComradeMatrix(4, (-0.0, 2.0, 0.0, -1.5), (0.5, 0.0, -3.0), (0.0, 1.0, -0.0),
+                          (0.25, -0.0))
+        M = DenseMatrix.from_rows([[-1.0, 0.5, 1.0, tiny], [2.0, inf, -0.0, 2 * tiny],
+                                   [-0.0, -0.5, tiny, -2.0], [3.0, 1.0, -0.0, -inf]])
+        hex_rows = lambda P: [" ".join(map(float.hex, row)) for row in P.rows]
+        assert hex_rows(comrade_times_dense(C, M)) == [
+            "0x1.0000000000000p+0 inf -0x0.0p+0 0x0.0000000000001p-1022",
+            "0x1.0000000000000p+2 inf 0x0.0p+0 0x0.0000000000004p-1022",
+            "-0x1.c000000000000p+2 inf 0x0.0p+0 inf",
+            "-0x1.0000000000000p+2 inf 0x0.0p+0 inf"]
+        assert hex_rows(dense_times_comrade(M, C)) == [
+            "-0x0.0p+0 0x1.8000000000000p+0 -0x0.0p+0 -0x1.8000000000000p+1",
+            "0x0.0p+0 inf 0x0.0p+0 -0x0.0000000000003p-1022",
+            "-0x0.0p+0 -0x1.8000000000000p+0 -0x0.0p+0 0x1.8000000000000p+1",
+            "0x0.0p+0 -inf 0x0.0p+0 inf"]
+
     def test_size_mismatch_raises(self):
         C, M = support.SAMPLE5, DenseMatrix.identity(4)
         with pytest.raises(ValueError, match="size mismatch"):

@@ -73,13 +73,12 @@ def _format_scalar(value) -> str:
     return repr(value) if isinstance(value, float) else format_rational(value)
 
 
-def _cmd_det(args) -> int:
+def _cmd_det(args) -> None:
     _, det = _solve(args, determinant)
     print(_format_scalar(det))
-    return EXIT_OK
 
 
-def _cmd_inv(args) -> int:
+def _cmd_inv(args) -> None:
     _, result = _solve(args, invert)
     dump_dense(result.inverse, args.output)
     print(f"determinant: {_format_scalar(result.determinant)}")
@@ -88,7 +87,6 @@ def _cmd_inv(args) -> int:
     else:
         log = "none"
     print(f"substitutions: {log}")
-    return EXIT_OK
 
 
 def _residual(C, inverse):
@@ -96,10 +94,9 @@ def _residual(C, inverse):
     return (comrade_times_dense(C, inverse) - DenseMatrix.identity(C.n)).inf_norm()
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> None:
     C, result = _solve(args, invert)
     print(_format_scalar(_residual(C, result.inverse)))
-    return EXIT_OK
 
 
 def _family(args, n: int):
@@ -110,11 +107,10 @@ def _family(args, n: int):
     return random_comrade(n, args.seed, args.zero_pivot_bias)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     if args.n < 3:
         raise _BadArgument(f"bad --n {args.n}: a comrade matrix needs n >= 3")
     dump_comrade(_family(args, args.n), args.output)
-    return EXIT_OK
 
 
 def _bench_epsilon(C, inverse):
@@ -126,8 +122,8 @@ def _bench_epsilon(C, inverse):
     return _residual(C, inverse)
 
 
-def _cmd_bench(args) -> int:
-    mode = ScalarMode(args.mode) if args.mode else ScalarMode.FLOAT
+def _cmd_bench(args) -> None:
+    mode = ScalarMode(args.mode)
     sizes = []
     for chunk in args.sizes.split(","):
         try:
@@ -147,7 +143,6 @@ def _cmd_bench(args) -> int:
     with (open(args.output, "w", encoding="utf-8", newline="") if args.output
           else nullcontext(sys.stdout)) as out:
         csv.writer(out).writerows(rows)
-    return EXIT_OK
 
 
 @cache
@@ -184,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time inversions and write a CSV report")
     p.add_argument("--family", choices=["example33", "random"], required=True)
     p.add_argument("--sizes", required=True, help="comma-separated, e.g. 50,100,500")
-    p.add_argument("--mode", choices=[m.value for m in ScalarMode], default=None,
+    p.add_argument("--mode", choices=[m.value for m in ScalarMode], default="float",
                    help="arithmetic mode (default: float)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zero-pivot-bias", type=float, default=0.0)
@@ -196,10 +191,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

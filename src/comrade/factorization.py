@@ -115,7 +115,9 @@ class OpCounter:
 class LUFactors:
     """Recurrence output: the matrix the recurrences ran on, pivots mu
     (n values), last-row multipliers x (n-1 values), the substitution
-    log, and the mode the run used.
+    log, and the mode the run used.  Built as they are, by FLOAT
+    ``factorize`` only, the factors have mode FLOAT and an empty log;
+    ``_ContinuantFactors`` sets its own.
 
     Together with the alpha and gamma of ``perturbed(F)`` these determine
     L and U; L*U is ``perturbed(F)``, the input with t at each logged
@@ -126,9 +128,10 @@ class LUFactors:
     them on first read.
     """
 
-    def __init__(self, mode, matrix, mu, x, substitutions):
-        self.mode, self.matrix, self.substitutions = mode, matrix, substitutions
-        self.mu, self.x = mu, x
+    mode, substitutions = ScalarMode.FLOAT, ()
+
+    def __init__(self, matrix, mu, x):
+        self.matrix, self.mu, self.x = matrix, mu, x
 
     @property
     def n(self) -> int:
@@ -136,7 +139,7 @@ class LUFactors:
 
     def pivot_product(self):
         """mu_1 * ... * mu_n."""
-        return math.prod(self.mu[1:], start=self.mu[0])
+        return math.prod(self.mu)
 
 
 class _ContinuantFactors(LUFactors):
@@ -329,7 +332,7 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
         mu.append(beta[i0 + 1] - (alpha[i0] / mu[i0]) * gamma[i0] if i0 < n - 2
                   else beta[-1] - alpha[-1] * x[-1])
     ops.tally(6 * n - 9)
-    return LUFactors(mode, M, tuple(mu), tuple(x), ())
+    return LUFactors(M, tuple(mu), tuple(x))
 
 
 def pivot_product(F: LUFactors, ops: OpCounter):

@@ -94,11 +94,13 @@ def _solve_column(F: LUFactors, alpha, ell, j0: int):
     it being zero, and reads ell_k = gamma_{k+1} / mu_k (not for
     j0 >= n - 2) and the last row x; the backward pass over U is
     s_i = -alpha_i s_{i+1} / mu_i above row j0 + 1.  Neither divides by
-    alpha."""
+    alpha.  Every entry of s is written before it is read, and the unit
+    is the int 1: each entry comes out of arithmetic with the factors, so
+    it has their working type (float, Fraction or RationalFunction)."""
     n = F.n
     mu, x = F.mu, F.x
-    s = [F.mode.scalar(0)] * n
-    y = last = s[j0] = F.mode.scalar(1)
+    s = [None] * n
+    y = last = s[j0] = 1
     if j0 < n - 1:
         # y_k = -ell_k y_{k-1}, then y_n = -sum x_k y_k
         last = -x[j0]

@@ -101,10 +101,9 @@ def load_comrade(path) -> ComradeMatrix:
     string -> Fraction table."""
     data = _load_json(path)
     n = _order(data, path)
-    lengths = {"beta": n, "alpha": n - 1, "gamma": n - 1, "a": n - 2}
     parsed = {}
-    return ComradeMatrix(n, *(_rational_list(data, f, lengths[f], path, parsed)
-                              for f in _COMRADE_FIELDS))
+    return ComradeMatrix(n, *(_rational_list(data, f, want, path, parsed)
+                              for f, want in zip(_COMRADE_FIELDS, (n, n - 1, n - 1, n - 2))))
 
 
 def _layout(value: list, indent: str):

@@ -81,17 +81,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p`` or ``p/q`` (inverse of parse_rational)."""
-    try:
-        return str(value)
-    except ValueError:                  # past the int/str digit limit
-        p, q = _decimal_str(value.numerator), value.denominator
-        return p if q == 1 else f"{p}/{_decimal_str(q)}"
+    """Render a Fraction as ``p`` or ``p/q`` (inverse of parse_rational),
+    with p and q of any length through ``_decimal_str``."""
+    p, q = _decimal_str(value.numerator), value.denominator
+    return p if q == 1 else f"{p}/{_decimal_str(q)}"
 
 
-# Python 3.11 and later refuse to convert an int of more than
+# Python refuses to convert an int of more than
 # sys.get_int_max_str_digits() decimal digits (4,300 by default) to or
-# from a string.  Matrix files and printed results have no such limit:
+# from a string, since 3.10.7 on the 3.10 line and on every later one.  Matrix files and printed results have no such limit:
 # these two convert a number past it in halves, each within it, and
 # leave the interpreter's setting alone.
 

@@ -12,7 +12,7 @@ from comrade import (ComradeMatrix, NonFiniteResultError, OpCounter,
                      example33, factorize, invert, make_comrade, random_comrade,
                      reconstruct_LU, to_dense)
 from comrade.factorization import integer_scaled, perturbed
-from comrade.scalars import POLY_T
+from comrade.scalars import POLY_T, _unpack
 
 T = RationalFunction.t()
 
@@ -436,3 +436,79 @@ class TestIntegerContinuants:
         assert det != 0
         assert determinant(C, ScalarMode.EXACT) == det
         assert determinant(C, ScalarMode.SYMBOLIC) == det
+
+
+def packing_bound(C, t_term=True, bump_term=True):
+    """The bound on the coefficients of the packed SYMBOLIC continuants,
+    recomputed from the dense rows of C' = C diag(c): each row's sum of
+    |entries|, plus c_{j+1} on row j for a zero alpha_j, j <= n - 2 (the
+    t it becomes), plus c_i on row i (the bump a zero D_i gets)."""
+    scale, S = integer_scaled(C)
+    n, bound = C.n, 1
+    for i0, row in enumerate(to_dense(S).rows):
+        total = int(sum(map(abs, row)))
+        if t_term and i0 < n - 2 and S.alpha[i0] == 0:
+            total += scale[i0 + 1]
+        if bump_term:
+            total += scale[i0]
+        bound *= total
+    return bound
+
+
+def polynomial_continuants(C):
+    """([D_0, .., D_n], [X_1, .., X_{n-1}]) of the module docstring over
+    Z[t], as Polynomials: C' = M(t) diag(c) has c_{j+1} t at each zero
+    alpha_j, j <= n - 2, and a zero D_i becomes c_i t D_{i-1}."""
+    scale, S = integer_scaled(C)
+    n, beta, gamma = C.n, S.beta, S.gamma
+    alpha = [POLY_T * scale[j0 + 1] if j0 < n - 2 and v == 0 else v
+             for j0, v in enumerate(S.alpha)]
+    e = (*reversed(S.a), gamma[-1])                 # a'_n .. a'_3, gamma'_n
+    D, X = [Polynomial((1,))], []
+    for i0 in range(n):
+        if i0 == 0:
+            d = beta[0] * D[0]
+        elif i0 < n - 1:
+            d = beta[i0] * D[-1] - alpha[i0 - 1] * gamma[i0 - 1] * D[-2]
+        else:
+            d = beta[i0] * D[-1] - alpha[i0 - 1] * X[-1]
+        if d.is_zero:
+            d = POLY_T * scale[i0] * D[-1]
+        if i0 < n - 1:
+            X.append(e[0] * D[-1] if i0 == 0 else e[i0] * D[-1] - alpha[i0 - 1] * X[-1])
+        D.append(d)
+    return D, X
+
+
+class TestPackingWidth:
+    """SYMBOLIC factors pack each polynomial p(t) as p(2^width), with the
+    width the bit length of the coefficient bound plus a sign bit.  The
+    width is pinned to that bound, and every packed D_i and X_i must read
+    back as the continuant computed over Z[t]."""
+
+    DRAWS = [(n, pattern, seed) for n in range(3, 15)
+             for pattern in support.ZERO_PATTERNS for seed in range(5)]
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_width_and_digits(self, n):
+        for draw in self.DRAWS:
+            if draw[0] != n:
+                continue
+            C = support.zero_patterned_comrade(*draw)
+            Ft = factorize(C, ScalarMode.SYMBOLIC)
+            assert Ft.width == packing_bound(C).bit_length() + 1
+            D, X = polynomial_continuants(C)
+            unpack = lambda v: Polynomial(_unpack(v, Ft.width))
+            assert [*map(unpack, Ft.D)] == D
+            assert [*map(unpack, Ft.X)] == X
+
+    def test_each_term_of_the_bound_changes_some_width(self):
+        """Without the t term or without the bump term the width would be
+        smaller on some of the draws, so the test above pins both."""
+        shorter = {"t": 0, "bump": 0}
+        for draw in self.DRAWS:
+            C = support.zero_patterned_comrade(*draw)
+            width = packing_bound(C).bit_length()
+            shorter["t"] += packing_bound(C, t_term=False).bit_length() < width
+            shorter["bump"] += packing_bound(C, bump_term=False).bit_length() < width
+        assert shorter["t"] > 0 and shorter["bump"] > 0

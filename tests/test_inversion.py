@@ -637,3 +637,20 @@ class TestSmallAlphabet:
                 phase(factors)
             except named:
                 pass
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("mode, kind", [(ScalarMode.FLOAT, float), (ScalarMode.EXACT, F),
+                                        (ScalarMode.SYMBOLIC, RationalFunction)])
+def test_column_entries_have_the_working_type(n, mode, kind):
+    """Every entry of every column phase is of the factors' working type,
+    columns n and n - 1 included: the FLOAT solve of column n starts from
+    the unit itself, so an int there would show.  A FLOAT inverse holds
+    only floats."""
+    C = example33(n)
+    Ft = factorize(C, mode)
+    columns = [*lu_columns(Ft), *last_two_columns(Ft), *remaining_columns(Ft)]
+    assert len(columns) == 2 * n - 2
+    assert {type(v) for col in columns for v in col} == {kind}
+    if mode is ScalarMode.FLOAT:
+        assert {type(v) for row in invert(C, mode).inverse.rows for v in row} == {float}

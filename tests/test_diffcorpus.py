@@ -2,7 +2,9 @@
 the package's API, so a diff of two trees' corpora compares results and
 not a crash of the script.  A stride of the inputs and every ``cli:`` and
 ``scalars:`` group are also checked against the committed digest, so a
-change of any of those records fails here and names its group."""
+change of any of those records fails here and names its group.  The
+argparse text of later interpreters is mapped to 3.11's layout, and
+3.11's passes through unchanged."""
 
 import ast
 import importlib.util
@@ -103,6 +105,37 @@ def test_cli_records_run(diffcorpus, tmp_path):
             assert (written is not None) == (code == 0)
         if command == "bench" and code == 0:
             assert written[0] == ["n", "mode", "op_count", "epsilon"]
+    # the records are the digest's, made with 3.11: its layout passes through
+    texts = [v for _, value in records for v in value if isinstance(v, str)]
+    assert [diffcorpus.argparse_311(v) for v in texts] == texts
+
+
+#: ``comrade bench --help`` and a ``--mode`` error as CPython 3.13
+#: prints them, with %s for the text whose layout changed
+_BENCH_HELP = (
+    "usage: comrade bench [-h] --family {example33,random} --sizes SIZES\n"
+    "                     [--mode {exact,symbolic,float}] [--seed SEED]\n"
+    "                     [--zero-pivot-bias ZERO_PIVOT_BIAS] [-o OUTPUT]\n\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --family {example33,random}\n"
+    "  --sizes SIZES         comma-separated, e.g. 50,100,500\n"
+    "  --mode {exact,symbolic,float}\n"
+    "                        arithmetic mode (default: float)\n"
+    "  --seed SEED\n"
+    "  --zero-pivot-bias ZERO_PIVOT_BIAS\n"
+    "%s\n")
+_BAD_MODE = ("usage: comrade det [-h] [--mode {exact,symbolic,float}] file\n"
+             "comrade det: error: argument --mode: invalid choice: 'decimal' "
+             "(choose from %s)\n")
+
+
+@pytest.mark.parametrize("later, v311", [
+    (_BENCH_HELP % "  -o, --output OUTPUT", _BENCH_HELP % "  -o OUTPUT, --output OUTPUT"),
+    (_BAD_MODE % "exact, symbolic, float", _BAD_MODE % "'exact', 'symbolic', 'float'"),
+], ids=["3.13 short and long flag", "3.13.13 unquoted choices"])
+def test_later_argparse_layouts_become_the_311_bytes(diffcorpus, later, v311):
+    assert diffcorpus.argparse_311(later) == v311
 
 
 def test_scalar_records_match_digest(diffcorpus, scalar_texts):

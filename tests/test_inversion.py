@@ -493,6 +493,20 @@ class TestSymbolicInvert:
             assert kinds == [{"pivot", "alpha"}, {"pivot"}]
 
 
+@pytest.mark.parametrize("n", range(3, 15))
+@pytest.mark.parametrize("pattern", support.ZERO_PATTERNS)
+def test_last_two_columns_at_zero_need_no_t(n, pattern):
+    # columns n and n-1 of C^-1: the SYMBOLIC columns of M(t) at t = 0
+    # are the EXACT columns of the t = 0 factors, alpha log entries and all
+    for seed in range(5):
+        C = support.zero_patterned_comrade(n, pattern, seed)
+        if dense_det(to_dense(C)) == 0:
+            continue
+        F = factorize(C, ScalarMode.SYMBOLIC)
+        assert last_two_columns(F.unperturbed()) == \
+            tuple([v.at_zero() for v in col] for col in last_two_columns(F))
+
+
 def pivot_only_draw(n, k):
     """The k-th draw of ``random_comrade(n, seed, zero_pivot_bias=1.0)``,
     seed = 0, 1, .., with alpha_1 .. alpha_{n-2} all nonzero: beta_1 = 0

@@ -33,9 +33,15 @@ names every group that differs from the digest and exits 1;
 ``--update`` rewrites the digest, for a change that alters records on
 purpose and names the groups it altered.  ``tests/test_diffcorpus.py`` checks a
 stride of the inputs and all ``cli:`` and ``scalars:`` groups against it.
-The digest was made with CPython 3.11, and CPython 3.10 and 3.12 give
-the same records; another version's argparse may word the ``cli:`` help
-and usage records differently.
+The ``cli:`` records hold argparse's text in the layout of CPython 3.11,
+so one digest holds on 3.10 to 3.13.  ``argparse_311`` maps the two
+layouts later versions print back to it: 3.13 writes an option with a
+short and a long flag as ``-o, --output OUTPUT``, where 3.11 writes
+``-o OUTPUT, --output OUTPUT``, and 3.13.13 lists invalid-choice
+alternatives unquoted, ``(choose from exact, symbolic, float)``, where
+3.11 quotes each one.  Both rules keep every flag, metavar and choice
+name as printed, so a changed option, help string or choice still
+changes its record.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import hashlib
 import operator
 import os
 import random
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -143,9 +150,20 @@ def records(name, C, mode):
         line("lu_columns", call(lu_columns, F))
 
 
+def argparse_311(text):
+    """text with argparse's later layouts put back in that of CPython
+    3.11: the metavar repeated after a short flag that shares it with a
+    long one, and invalid-choice alternatives quoted."""
+    text = re.sub(r"(-\w), (--[\w-]+) ([A-Z_]+)\b", r"\1 \3, \2 \3", text)
+    return re.sub(r"\(choose from ([^')][^)]*)\)",
+                  lambda m: f"(choose from {', '.join(map(repr, m[1].split(', ')))})",
+                  text)
+
+
 def cli_call(tmp, argv, out=None):
     """(exit code, stdout, stderr, text of ``out`` or None) of the command
-    line argv run in process; ``out`` is removed afterwards."""
+    line argv run in process, in argparse's 3.11 layout; ``out`` is
+    removed afterwards."""
     stdout, stderr = StringIO(), StringIO()
     # argparse wraps help to the terminal: pin the width it gets off one
     with redirect_stdout(stdout), redirect_stderr(stderr), \
@@ -160,7 +178,7 @@ def cli_call(tmp, argv, out=None):
     if out is not None and out.exists():
         written = out.read_text()
         out.unlink()
-    return tuple(v.replace(str(tmp), "<tmp>") if isinstance(v, str) else v
+    return tuple(argparse_311(v.replace(str(tmp), "<tmp>")) if isinstance(v, str) else v
                  for v in (code, stdout.getvalue(), stderr.getvalue(), written))
 
 

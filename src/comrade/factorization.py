@@ -179,7 +179,7 @@ class _ContinuantFactors(LUFactors):
         d = self.D[-1]
         if self.mode is ScalarMode.SYMBOLIC:
             d = _low_digit(d, self.width)
-        return Fraction(d, math.prod(self.scale))
+        return Fraction(d, _pairwise_product(self.scale))
 
     def column(self, adj, at_zero: bool = False) -> list:
         """The column c_i adj_i / D_n of the inverse, for a column adj of
@@ -211,6 +211,18 @@ class _ContinuantFactors(LUFactors):
                                   [*map(low, self.D)], [*map(low, self.X)], 0, self.scaled)
 
 
+def _pairwise_product(xs):
+    """math.prod of the integers xs as a balanced product: each round
+    multiplies neighbours, so both factors of a product are of about the
+    same size.  A running product multiplies an ever longer one by one
+    small factor, at a cost that grows with the square of the result's
+    bit length."""
+    while len(xs) > 1:
+        pairs = iter(xs)
+        xs = [*map(operator.mul, pairs, pairs), *xs[len(xs) & ~1:]]
+    return xs[0] if xs else 1
+
+
 def integer_scaled(C: ComradeMatrix):
     """(c, C'): c_k is the lcm of the denominators in column k of the
     rational C, and C' = C diag(c) is C with integer entries."""
@@ -219,8 +231,8 @@ def integer_scaled(C: ComradeMatrix):
     # beta_k and gamma_{k+1} sit in column k, alpha_k in column k+1 and
     # a_m in column n-m+1 of the last row
     scale = [*map(math.lcm, b, [1, *al], [*g, 1], [*reversed(e), 1, 1])]
-    ratios = ComradeMatrix(C.n, *families)
-    return scale, _column_map(lambda r, c: r[0] * (c // r[1]), ratios, scale)
+    scaled = lambda ratios, cs: tuple([p * (c // q) for (p, q), c in zip(ratios, cs)])
+    return scale, _column_map(scaled, ComradeMatrix(C.n, *families), scale)
 
 
 def continuants(S: ComradeMatrix, bump=None):
@@ -376,7 +388,8 @@ def perturbed(F: LUFactors) -> ComradeMatrix:
     S = F.matrix
     if F.mode is ScalarMode.FLOAT:
         return S
-    return _column_map(lambda v, c_k: F._quotient(v, 1, c_k), S, F.scale)
+    return _column_map(lambda vs, cs: tuple([F._quotient(v, 1, c) for v, c in zip(vs, cs)]),
+                       S, F.scale)
 
 
 def reconstruct_LU(F: LUFactors):

@@ -13,7 +13,8 @@ position (n, j), 1-based, holds a_{n-j+1} for j = 1..n-2.  Where each
 entry sits is written once per direction: ``_row_entries`` lists each
 row's entries with their columns, for ``to_dense``, both structured
 products and the packing bound of ``factorization.continuant_factors``,
-and ``_column_map`` pairs each entry with the scale of its column.
+and ``_column_map`` hands each entry family, with the scales of its
+entries' columns, to one call of a function that builds the whole family.
 """
 
 from __future__ import annotations
@@ -132,12 +133,14 @@ def _row_entries(C: ComradeMatrix) -> list:
 
 
 def _column_map(f, C: ComradeMatrix, scale) -> ComradeMatrix:
-    """The matrix of f(v, scale_k) for each entry v of C, with k its
-    column: beta_k and gamma_{k+1} sit in column k, alpha_k in column
-    k+1 and a_m in column n-m+1."""
+    """The matrix whose entry families are f(values, scales), called once
+    for each family of C with its entries and the scales of their
+    columns, in the same order and of the same length; f returns the
+    family's tuple.  beta_k and gamma_{k+1} sit in column k, alpha_k in
+    column k+1 and a_m in column n-m+1."""
     n = C.n
-    return ComradeMatrix(n, tuple(map(f, C.beta, scale)), tuple(map(f, C.alpha, scale[1:])),
-                         tuple(map(f, C.gamma, scale)), tuple(map(f, C.a, scale[n - 3::-1])))
+    return ComradeMatrix(n, f(C.beta, scale), f(C.alpha, scale[1:]),
+                         f(C.gamma, scale[:-1]), f(C.a, scale[n - 3::-1]))
 
 
 def to_dense(C: ComradeMatrix) -> DenseMatrix:

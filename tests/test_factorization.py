@@ -11,7 +11,7 @@ from comrade import (ComradeMatrix, NonFiniteResultError, OpCounter,
                      ZeroPivotError, dense_det, determinant,
                      example33, factorize, invert, make_comrade, random_comrade,
                      reconstruct_LU, to_dense)
-from comrade.factorization import integer_scaled, perturbed
+from comrade.factorization import _pairwise_product, integer_scaled, perturbed
 from comrade.scalars import POLY_T, _unpack
 
 T = RationalFunction.t()
@@ -436,6 +436,63 @@ class TestIntegerContinuants:
         assert det != 0
         assert determinant(C, ScalarMode.EXACT) == det
         assert determinant(C, ScalarMode.SYMBOLIC) == det
+
+
+FAMILIES = ("beta", "alpha", "gamma", "a")
+
+
+def mixed_types(C):
+    """C built directly as a ComradeMatrix, each entry held as the first
+    of bool, int and binary64 float that holds it exactly, else as the
+    Fraction it is."""
+    def entry(v):
+        if v in (0, 1):
+            return bool(v)
+        if v.denominator == 1:
+            return int(v)
+        if v.denominator & (v.denominator - 1) == 0:    # a power of two
+            return float(v)
+        return v
+    return ComradeMatrix(C.n, *(tuple(map(entry, getattr(C, name))) for name in FAMILIES))
+
+
+MIXED5 = ComradeMatrix(5, (F(1, 2), 3, True, 0.25, F(-7, 3)), (2, 0.5, F(5, 6), -1.5),
+                       (True, F(2, 5), False, 0.1), (F(1, 6), -2 ** 70, 1e20))
+MIXED_BANDS = [mixed_types(band_comrade(n, seed)) for n, seed in ((3, 0), (8, 1), (40, 2))]
+
+
+class TestMixedEntryTypes:
+    """EXACT factors read each entry through ``as_integer_ratio`` and
+    build each family of C' from those ratios, so a ComradeMatrix built
+    directly from ints, bools, binary64 floats and Fractions scales,
+    factors and has the determinant of the all-Fraction matrix of the
+    same values (0.1 as the binary64 value it is)."""
+
+    def test_every_type_is_present(self):
+        kinds = lambda C: {type(v) for name in FAMILIES for v in getattr(C, name)}
+        assert kinds(MIXED5) == {bool, int, float, F}
+        assert set().union(*map(kinds, MIXED_BANDS)) == {int, float, F}
+
+    @pytest.mark.parametrize("C", [MIXED5, *MIXED_BANDS], ids=["n5", "band3", "band8", "band40"])
+    def test_as_the_fraction_matrix(self, C):
+        ref = make_comrade(C.n, C.beta, C.alpha, C.gamma, C.a)
+        scale, S = integer_scaled(C)
+        assert (scale, S) == integer_scaled(ref)
+        assert all(type(v) is int for name in FAMILIES for v in getattr(S, name))
+        got, want = factorize(C, ScalarMode.EXACT), factorize(ref, ScalarMode.EXACT)
+        assert (got.scale, got.mu, got.x) == (want.scale, want.mu, want.x)
+        det = determinant(C, ScalarMode.EXACT)
+        assert type(det) is F and det == dense_det(to_dense(ref)) != 0
+
+
+@pytest.mark.parametrize("xs", [[], [7], [2 ** 65 + 3], [1, 1], [1, 1, 1], [3, 2 ** 64 + 1, 1, 5],
+                                [2 ** 64 - 1, 1, 3 ** 41, 2 ** 70 + 1, 9]],
+                         ids=["empty", "one", "one-past-2^64", "ones-even", "ones-odd",
+                              "even", "odd"])
+def test_pairwise_product_is_math_prod(xs):
+    before = list(xs)
+    assert _pairwise_product(xs) == math.prod(xs)
+    assert xs == before
 
 
 def packing_bound(C, t_term=True, bump_term=True):

@@ -19,7 +19,9 @@ are the leading principal minors of C' and the last-row multipliers
 times them, so mu_i = D_i / (c_i D_{i-1}), x_i = X_i / D_i and
 det C = D_n / (c_1 .. c_n).  The loop multiplies big integers by small
 ones and runs no gcd; a zero pivot mu_i shows as D_i = 0.  The factors
-keep (c, C', D, X) and build mu and x only when they are read, so
+keep (c, C', D, X_{n-1}): no other X_i, since each is read only by the
+next and the list would double the big integers held.  They build the
+X list, mu and x only when these are read, from C' and D, so
 ``determinant`` builds no Fraction but its result, and ``inversion``
 reads the last two columns of the inverse off the same integers.  The
 SYMBOLIC determinant runs the same loop: it never divides, so a zero
@@ -48,7 +50,7 @@ balanced base-2^B digits, and mu and x are built from them when read.
 The determinant D_n(0) / (c_1 .. c_n) takes the lowest digit of D_n.
 The factors keep the integer C'(0) = C diag(c) they were packed from,
 and ``unperturbed`` gives its EXACT factors: that matrix and the
-lowest digits of all the continuants.
+lowest digits of the continuants D_i and X_{n-1}.
 
 EXACT and FLOAT modes raise ``ZeroPivotError`` instead, except for the
 last pivot: nothing in the recurrences divides by mu_n, a zero there
@@ -124,8 +126,8 @@ class LUFactors:
     substitution.  FLOAT factors hold C in binary64 as their matrix.  In
     EXACT/FLOAT mode ``mu[-1]`` may be zero: that marks a singular matrix
     and blocks inversion, not the determinant.  EXACT and SYMBOLIC
-    factors keep the integer continuants instead and build mu and x from
-    them on first read.
+    factors keep the integer continuants D and X_{n-1} instead and build
+    mu and x on first read.
     """
 
     mode, substitutions = ScalarMode.FLOAT, ()
@@ -145,14 +147,16 @@ class LUFactors:
 class _ContinuantFactors(LUFactors):
     """EXACT and SYMBOLIC factors held as the integer data of the module
     docstring: the column scales c, C' (of M(t) in SYMBOLIC mode),
-    D = [D_0, .., D_n] and X = [X_1, .., X_{n-1}], all packed at
+    D = [D_0, .., D_n] and ``X_last`` = X_{n-1}, all packed at
     t = 2^width in SYMBOLIC mode, and ``scaled``, the integer
-    C'(0) = C diag(c) they were built from.  mu and x are built from
-    them on first read."""
+    C'(0) = C diag(c) they were built from.  X = [X_1, .., X_{n-1}],
+    and mu and x from it, are built on first read; neither ``invert``
+    nor ``determinant`` reads them."""
 
-    def __init__(self, mode, substitutions, scale, matrix, D, X, width, scaled):
+    def __init__(self, mode, substitutions, scale, matrix, D, X_last, width, scaled):
         self.mode, self.substitutions, self.scale = mode, substitutions, scale
-        self.matrix, self.D, self.X, self.width, self.scaled = matrix, D, X, width, scaled
+        self.matrix, self.D, self.X_last = matrix, D, X_last
+        self.width, self.scaled = width, scaled
 
     def _polynomial(self, v, c=1):
         """c times the packed polynomial v.  The digits are read first:
@@ -165,6 +169,16 @@ class _ContinuantFactors(LUFactors):
         if self.mode is ScalarMode.EXACT:
             return Fraction(num, c * den)
         return RationalFunction(self._polynomial(num), self._polynomial(den, c))
+
+    @cached_property
+    def X(self):
+        # X_i = a'_{n-i+1} D_{i-1} - alpha'_{i-1} X_{i-1} over C' and the
+        # stored (in SYMBOLIC mode bumped) D: the values of the loop
+        X, x = [], 0
+        for e, al, d in zip(_last_row(self.matrix), (0, *self.matrix.alpha), self.D):
+            x = e * d - al * x
+            X.append(x)
+        return X
 
     @cached_property
     def mu(self):
@@ -200,15 +214,16 @@ class _ContinuantFactors(LUFactors):
     def unperturbed(self) -> _ContinuantFactors:
         """The EXACT factors of C'(0) = C diag(c): the integer matrix these
         SYMBOLIC factors were built from before any t went in, and the
-        lowest balanced digit of every packed D_i and X_i.  The scales are
-        the same and the log is empty.  A D_i(0), i < n, may be zero: the
-        column recursion never divides by it, but mu and x would.
-        EXACT factors already are those of C'(0) and come back as they are."""
+        lowest balanced digit of every packed D_i and of X_{n-1}.  The
+        scales are the same and the log is empty.  A D_i(0), i < n, may
+        be zero: the column recursion never divides by it, but mu and x
+        would.  EXACT factors already are those of C'(0) and come back as
+        they are."""
         if self.mode is ScalarMode.EXACT:
             return self
         low = lambda v: _low_digit(v, self.width)
         return _ContinuantFactors(ScalarMode.EXACT, (), self.scale, self.scaled,
-                                  [*map(low, self.D)], [*map(low, self.X)], 0, self.scaled)
+                                  [*map(low, self.D)], low(self.X_last), 0, self.scaled)
 
 
 def _pairwise_product(xs):
@@ -235,44 +250,50 @@ def integer_scaled(C: ComradeMatrix):
     return scale, _column_map(scaled, ComradeMatrix(C.n, *families), scale)
 
 
+def _last_row(S: ComradeMatrix):
+    """Row n of S left to right, without beta_n: (a_n, .., a_3, gamma_n)."""
+    return (*reversed(S.a), S.gamma[-1])
+
+
 def continuants(S: ComradeMatrix, bump=None):
-    """([D_0, .., D_n], [X_1, .., X_{n-1}], zeros) of the module
-    docstring, on any integer-like S (C' or its Kronecker-packed
-    SYMBOLIC form), with zeros the indices i of the zero D_i.  Without
-    ``bump`` the loop runs to the end through any zero D_i, since they
-    never divide; with it, a zero D_i becomes bump[i-1] D_{i-1}."""
+    """([D_0, .., D_n], X_{n-1}, zeros) of the module docstring, on any
+    integer-like S (C' or its Kronecker-packed SYMBOLIC form), with
+    zeros the indices i of the zero D_i, in increasing order.  Only the
+    last X_i is kept: each X_i is read only by the next, and X_{n-1}
+    by D_n.  Without ``bump`` the loop runs to the end through any zero
+    D_i, since they never divide; with it, a zero D_i becomes
+    bump[i-1] D_{i-1}."""
     beta, alpha, gamma = S.beta, S.alpha, S.gamma
-    last = (*reversed(S.a), gamma[-1])              # row n left to right, without beta_n
     bump = bump or (0,) * S.n
     d2, d1, x = 0, 1, 0
-    D, X, zeros = [1], [], []
+    D, zeros = [1], []
     for b, al, ag, e, s in zip(beta, (0, *alpha), (0, *map(operator.mul, alpha, gamma)),
-                               last, bump):
+                               _last_row(S), bump):
         # D_i, and X_i with e = a'_{n-i+1} (gamma'_n for i = n - 1)
         d2, d1, x = d1, b * d1 - ag * d2, e * d1 - al * x
         if not d1:
             zeros.append(len(D))
             d1 = s * d2
         D.append(d1)
-        X.append(x)
     d = beta[-1] * d1 - alpha[-1] * x
     if not d:
         zeros.append(len(D))
         d = bump[-1] * d1
     D.append(d)
-    return D, X, zeros
+    return D, x, zeros
 
 
-def continuant_factors(C: ComradeMatrix, mode: ScalarMode) -> _ContinuantFactors:
-    """The factors of C' = C diag(c) as its continuants: on integers in
-    EXACT mode.  In SYMBOLIC mode C' is M(t) diag(c), packed at
-    t = 2^width with the width of the module docstring: each zero
+def continuant_factors(C: ComradeMatrix, mode: ScalarMode):
+    """(F, zeros): the factors F of C' = C diag(c) as its continuants,
+    and the indices i of the zero D_i that ``continuants`` found.  On
+    integers in EXACT mode.  In SYMBOLIC mode C' is M(t) diag(c), packed
+    at t = 2^width with the width of the module docstring: each zero
     alpha_j, j <= n - 2, is c_{j+1} t, and each zero D_i is bumped by
     c_i t.  The log lists the pivot substitutions, then the alpha ones."""
     scale, S = integer_scaled(C)
     if mode is ScalarMode.EXACT:
-        D, X, _ = continuants(S)
-        return _ContinuantFactors(mode, (), scale, S, D, X, 0, S)
+        D, X_last, zeros = continuants(S)
+        return _ContinuantFactors(mode, (), scale, S, D, X_last, 0, S), zeros
     n = C.n
     # c_{j+1}, the coefficient of t at a zero alpha_j with j <= n - 2, else 0
     t_alpha = [scale[j] if j < n - 1 and not v else 0 for j, v in enumerate(S.alpha, 1)]
@@ -282,13 +303,14 @@ def continuant_factors(C: ComradeMatrix, mode: ScalarMode) -> _ContinuantFactors
     width = bound.bit_length() + 1
     packed = replace(S, alpha=tuple(v + (c << width) for v, c in zip(S.alpha, t_alpha)))
     bump = [c << width for c in scale]                  # c_i t at t = 2^width
-    D, X, zeros = continuants(packed, bump)
+    D, X_last, zeros = continuants(packed, bump)
     beta = list(S.beta)
     for i in zeros:
         beta[i - 1] += bump[i - 1]
     log = (*(Substitution("pivot", i) for i in zeros),
            *(Substitution("alpha", j) for j, c in enumerate(t_alpha, 1) if c))
-    return _ContinuantFactors(mode, log, scale, replace(packed, beta=tuple(beta)), D, X, width, S)
+    M = replace(packed, beta=tuple(beta))
+    return _ContinuantFactors(mode, log, scale, M, D, X_last, width, S), zeros
 
 
 def _binary64(C: ComradeMatrix) -> ComradeMatrix:
@@ -321,17 +343,14 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
     if ops is None:
         ops = OpCounter()
     if mode is not ScalarMode.FLOAT:
-        F = continuant_factors(C, mode)
-        if mode is ScalarMode.EXACT and 0 in F.D[1:n]:  # mu_i = 0 for some i < n
-            i = F.D.index(0, 1)
-            ops.tally(max(6 * i - 11, 0))                # the recurrences before mu_i
-            raise ZeroPivotError(i)
+        F, zeros = continuant_factors(C, mode)
+        if mode is ScalarMode.EXACT and zeros and zeros[0] < n:  # mu_i = 0, i < n
+            ops.tally(max(6 * zeros[0] - 11, 0))    # the recurrences before mu_i
+            raise ZeroPivotError(zeros[0])
         ops.tally(6 * n - 9)
         return F
     M = _binary64(C)
-    beta, alpha, gamma, a = M.beta, M.alpha, M.gamma, M.a
-    # row n left to right, without beta_n: e = (a_n, .., a_3, gamma_n)
-    e = (*reversed(a), gamma[-1])
+    beta, alpha, gamma, e = M.beta, M.alpha, M.gamma, _last_row(M)
     mu, x = [beta[0]], []
     for i0 in range(n - 1):
         if mu[i0] == 0:                                  # mu_i = 0 for some i < n
@@ -371,7 +390,7 @@ def determinant(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None
         ops = OpCounter()
     if mode is ScalarMode.SYMBOLIC:
         ops.tally(7 * C.n - 10)
-        return continuant_factors(C, ScalarMode.EXACT).pivot_product()
+        return continuant_factors(C, ScalarMode.EXACT)[0].pivot_product()
     det = pivot_product(factorize(C, mode, ops), ops)
     if mode is ScalarMode.FLOAT and not math.isfinite(det):
         raise NonFiniteResultError("determinant")

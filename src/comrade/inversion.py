@@ -19,7 +19,7 @@ divide det M(t), a polynomial that is det(C) != 0 at t = 0).
 
 EXACT and SYMBOLIC read the integer data of ``factorization``: the
 scaled matrix C' = C diag(c) (M(t) diag(c), packed at t = 2^B, in
-SYMBOLIC mode) and its continuants D_i, X_i, with D_n = det C'.  Entry
+SYMBOLIC mode) and its continuants D_i and X_{n-1}, with D_n = det C'.  Entry
 (i, j) of the inverse is c_i adj(C')_ij / D_n.  The minors behind the
 last two columns of adj(C') are block triangular (cf. Usmani 1994), so
 with P_i = D_{i-1} (-alpha'_i) .. (-alpha'_{n-2}) for i < n
@@ -129,7 +129,7 @@ def _adjugate_last_two(F: LUFactors):
         suffix.append(-al * suffix[-1])
     P = [d * s for d, s in zip(D, reversed(suffix))]    # P_1 .. P_{n-1}
     al, b = S.alpha[-1], S.beta[-1]
-    return [-al * p for p in P] + [D[n - 1]], [b * p for p in P] + [-F.X[-1]]
+    return [-al * p for p in P] + [D[n - 1]], [b * p for p in P] + [-F.X_last]
 
 
 def last_two_columns(F: LUFactors, ops: OpCounter | None = None):

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -11,7 +13,8 @@ from comrade import (ComradeMatrix, NonFiniteResultError, OpCounter,
                      ZeroPivotError, dense_det, determinant,
                      example33, factorize, invert, make_comrade, random_comrade,
                      reconstruct_LU, to_dense)
-from comrade.factorization import _pairwise_product, integer_scaled, perturbed
+from comrade.factorization import (_ContinuantFactors, _pairwise_product, continuants,
+                                   integer_scaled, perturbed)
 from comrade.scalars import POLY_T, _unpack
 
 T = RationalFunction.t()
@@ -436,6 +439,29 @@ class TestIntegerContinuants:
         assert det != 0
         assert determinant(C, ScalarMode.EXACT) == det
         assert determinant(C, ScalarMode.SYMBOLIC) == det
+
+
+def test_exact_factors_keep_one_last_row_term(monkeypatch):
+    """The big-integer working set of the continuants is their D list:
+    the traced peak of ``continuants`` stays within 1.25 times the bytes
+    of the D it returns (an X list beside it doubles that), and no
+    factors that ``invert`` or ``determinant`` build derive their X."""
+    S = integer_scaled(band_comrade(600, 0))[1]
+    tracemalloc.start()
+    try:
+        D = continuants(S)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * sum(map(sys.getsizeof, D))
+    built, init = [], _ContinuantFactors.__init__
+    monkeypatch.setattr(_ContinuantFactors, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    invert(band_comrade(40, 1), ScalarMode.EXACT)
+    determinant(band_comrade(600, 0), ScalarMode.EXACT)
+    invert(support.ZERO_PIVOT4, ScalarMode.SYMBOLIC)    # a pivot-only log: F and F.unperturbed()
+    assert len(built) == 4
+    assert not any("X" in factors.__dict__ for factors in built)
 
 
 FAMILIES = ("beta", "alpha", "gamma", "a")

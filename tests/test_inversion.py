@@ -515,6 +515,17 @@ def pivot_only_draw(n, k):
     return next(itertools.islice((C for C in draws if 0 not in C.alpha[:n - 2]), k, None))
 
 
+def last_row_terms(S, D):
+    """[X_1, .., X_{n-1}] of the integer matrix S with leading minors D,
+    indexed by the paper's subscripts: X_1 = a_n and
+    X_i = a_{n-i+1} D_{i-1} - alpha_{i-1} X_{i-1}, gamma_n for i = n - 1."""
+    n, X = S.n, []
+    for i in range(1, n):
+        e = S.a[n - i - 2] if i < n - 1 else S.gamma[n - 2]      # a_m is S.a[m - 3]
+        X.append(e * D[i - 1] - (S.alpha[i - 2] * X[-1] if i > 1 else 0))
+    return X
+
+
 #: beta_1 = 0 and rows 3 and 4 equal, as in SINGULAR4: pivots 1 and 4
 #: are substituted and no alpha is
 SINGULAR_ZERO_PIVOT4 = make_comrade(4, (0, 3, 2, 2), (1, 1, 2), (1, 1, 2), (1, 0))
@@ -566,11 +577,15 @@ class TestPivotOnlySymbolicInvert:
     @pytest.mark.parametrize("seed", range(2))
     def test_unperturbed_factors_are_the_unbumped_continuants(self, n, pattern, seed):
         for C in (support.zero_patterned_comrade(n, pattern, seed), pivot_only_draw(n, seed)):
-            F0 = factorize(C, ScalarMode.SYMBOLIC).unperturbed()
+            Ft = factorize(C, ScalarMode.SYMBOLIC)
+            F0 = Ft.unperturbed()
             scale, S = factorization.integer_scaled(C)
-            D, X, _ = factorization.continuants(S)
+            D, X_last, _ = factorization.continuants(S)
             assert (F0.mode, F0.substitutions, F0.width) == (ScalarMode.EXACT, (), 0)
-            assert (F0.scale, F0.matrix, F0.D, F0.X) == (scale, S, D, X)
+            assert (F0.scale, F0.matrix, F0.D, F0.X_last) == (scale, S, D, X_last)
+            X = last_row_terms(S, D)
+            assert F0.X == X and X[-1] == X_last
+            assert Ft.X[-1] == Ft.X_last
 
     @pytest.mark.parametrize("C", [support.SAMPLE5, example33(6)], ids=["SAMPLE5", "example33(6)"])
     def test_unperturbed_exact_factors_are_themselves(self, C):

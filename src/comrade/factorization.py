@@ -27,6 +27,17 @@ reads the last two columns of the inverse off the same integers.  The
 SYMBOLIC determinant runs the same loop: it never divides, so a zero
 pivot needs no t.
 
+Entry (i, j) of the inverse is x / D_n with x = c_i adj(C')_ij, and
+building the n^2 Fractions, each reduced by a gcd with D_n, is most of
+an exact ``invert``.  With det C = N / Q in lowest terms, D_n = N h for
+h = c_1 .. c_n / Q = gcd(D_n, c_1 .. c_n).  So ``column`` builds an
+entry that h divides as (x / h) / N, one divmod and a gcd with the
+shorter N, and any other as x / D_n.  It does so only where h holds at
+least a quarter of D_n's bits, as on bands whose entries share small
+denominators (about 40% at n = 64 to 128): on example33 h has 3-4 bits
+and on an integer matrix h = 1, and there the divmod costs more than
+the shorter gcd saves.
+
 In SYMBOLIC mode ``factorize`` puts the indeterminate t in place of
 each zero it would divide by, and logs it.  The column recursion of
 ``inversion`` divides by alpha_1 .. alpha_{n-2}, so each of them that
@@ -72,6 +83,7 @@ import operator
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .matrix import ComradeMatrix, SingularMatrixError, _column_map, _row_entries, to_dense
@@ -195,12 +207,24 @@ class _ContinuantFactors(LUFactors):
             d = _low_digit(d, self.width)
         return Fraction(d, _pairwise_product(self.scale))
 
+    @cached_property
+    def _det_split(self):
+        """(N, h) with D_n = N h (D_n(0) in SYMBOLIC mode): N the numerator
+        of det C and h = gcd(D_n, c_1 .. c_n), or None where h has fewer
+        than a quarter of D_n's bits and reducing against N would not pay."""
+        det = self.pivot_product()
+        N, h = det.numerator, _pairwise_product(self.scale) // det.denominator
+        return (N, h) if 3 * h.bit_length() >= N.bit_length() else None
+
     def column(self, adj, at_zero: bool = False) -> list:
         """The column c_i adj_i / D_n of the inverse, for a column adj of
         adj(C'): Fractions, or in SYMBOLIC mode the canonical
         RationalFunctions of the inverse of M(t), or with ``at_zero``
         their values at t = 0, read off the lowest digits.  A zero D_n
-        (D_n(0) at t = 0) raises SingularMatrixError."""
+        (D_n(0) at t = 0) raises SingularMatrixError.  An entry x that
+        the h of D_n = N h divides is built as (x / h) / N, so Fraction's
+        gcd runs on the shorter N; other entries, and all of them where
+        h is small, as x / D_n."""
         scale, d = self.scale, self.D[-1]
         if self.mode is ScalarMode.SYMBOLIC and not at_zero:
             det = self._polynomial(d)
@@ -209,7 +233,12 @@ class _ContinuantFactors(LUFactors):
             d, *adj = (_low_digit(v, self.width) for v in (d, *adj))
         if not d:
             raise SingularMatrixError()
-        return [Fraction(c * v, d) for c, v in zip(scale, adj)]
+        entries = map(operator.mul, scale, adj)
+        if self._det_split is None:
+            return [Fraction(x, d) for x in entries]
+        N, h = self._det_split
+        return [Fraction(x, d) if r else Fraction(q, N)
+                for x in entries for q, r in (divmod(x, h),)]
 
     def unperturbed(self) -> _ContinuantFactors:
         """The EXACT factors of C'(0) = C diag(c): the integer matrix these
@@ -251,8 +280,9 @@ def integer_scaled(C: ComradeMatrix):
 
 
 def _last_row(S: ComradeMatrix):
-    """Row n of S left to right, without beta_n: (a_n, .., a_3, gamma_n)."""
-    return (*reversed(S.a), S.gamma[-1])
+    """Row n of S left to right, without beta_n, as an iterator:
+    a_n, .., a_3, gamma_n."""
+    return chain(reversed(S.a), S.gamma[-1:])
 
 
 def continuants(S: ComradeMatrix, bump=None):
@@ -262,13 +292,15 @@ def continuants(S: ComradeMatrix, bump=None):
     last X_i is kept: each X_i is read only by the next, and X_{n-1}
     by D_n.  Without ``bump`` the loop runs to the end through any zero
     D_i, since they never divide; with it, a zero D_i becomes
-    bump[i-1] D_{i-1}."""
+    bump[i-1] D_{i-1}.  The loop reads its entries, and the products
+    alpha'_{i-1} gamma'_i, through iterators, so beside D it holds a
+    few integers, not a sequence of n."""
     beta, alpha, gamma = S.beta, S.alpha, S.gamma
-    bump = bump or (0,) * S.n
     d2, d1, x = 0, 1, 0
     D, zeros = [1], []
-    for b, al, ag, e, s in zip(beta, (0, *alpha), (0, *map(operator.mul, alpha, gamma)),
-                               _last_row(S), bump):
+    for b, al, ag, e, s in zip(beta, chain((0,), alpha),
+                               chain((0,), map(operator.mul, alpha, gamma)),
+                               _last_row(S), bump or repeat(0)):
         # D_i, and X_i with e = a'_{n-i+1} (gamma'_n for i = n - 1)
         d2, d1, x = d1, b * d1 - ag * d2, e * d1 - al * x
         if not d1:
@@ -278,7 +310,7 @@ def continuants(S: ComradeMatrix, bump=None):
     d = beta[-1] * d1 - alpha[-1] * x
     if not d:
         zeros.append(len(D))
-        d = bump[-1] * d1
+        d = bump[-1] * d1 if bump else 0
     D.append(d)
     return D, x, zeros
 
@@ -350,7 +382,7 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
         ops.tally(6 * n - 9)
         return F
     M = _binary64(C)
-    beta, alpha, gamma, e = M.beta, M.alpha, M.gamma, _last_row(M)
+    beta, alpha, gamma, e = M.beta, M.alpha, M.gamma, tuple(_last_row(M))
     mu, x = [beta[0]], []
     for i0 in range(n - 1):
         if mu[i0] == 0:                                  # mu_i = 0 for some i < n

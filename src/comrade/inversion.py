@@ -19,9 +19,11 @@ divide det M(t), a polynomial that is det(C) != 0 at t = 0).
 
 EXACT and SYMBOLIC read the integer data of ``factorization``: the
 scaled matrix C' = C diag(c) (M(t) diag(c), packed at t = 2^B, in
-SYMBOLIC mode) and its continuants D_i and X_{n-1}, with D_n = det C'.  Entry
-(i, j) of the inverse is c_i adj(C')_ij / D_n.  The minors behind the
-last two columns of adj(C') are block triangular (cf. Usmani 1994), so
+SYMBOLIC mode) and its continuants D_i and X_{n-1}, with D_n = det C'.
+Entry (i, j) of the inverse is c_i adj(C')_ij / D_n, which ``F.column``
+builds, reduced against the numerator of det C where that pays (see
+``factorization``).  The minors behind the last two columns of adj(C')
+are block triangular (cf. Usmani 1994), so
 with P_i = D_{i-1} (-alpha'_i) .. (-alpha'_{n-2}) for i < n
 
     adj(C')_{i,n}   = -alpha'_{n-1} P_i,    adj(C')_{n,n}   = D_{n-1},

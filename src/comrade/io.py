@@ -20,14 +20,18 @@ The written bytes are those of ``json.dumps(data, indent=2) + "\n"``:
 two-space indentation and one entry per line, the stable byte format.
 They are written without the JSON encoder, whose indenting form is pure
 Python: an ASCII rational string needs no escaping, so each list of
-entries is joined directly and written on its own.  Both writers read
-p/q off each entry with ``as_integer_ratio`` through one formatter, which
-converts each distinct denominator to a string once per call.
+entries is joined directly and written on its own.  ``dump_dense``
+formats each row only when the row before it is written, so it holds
+one row's text at a time; it checks the float entries for a nan or an
+infinity before it opens the file.  Both writers read p/q off each entry
+with ``as_integer_ratio`` through one formatter, which converts each
+distinct denominator to a string once per call.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +39,8 @@ from .matrix import ComradeMatrix, DenseMatrix
 from .scalars import format_rational, parse_rational
 
 _COMRADE_FIELDS = ("beta", "alpha", "gamma", "a")
+#: Entry types that always have a rational value
+_EXACT_TYPES = frozenset((Fraction, int, bool))
 
 
 class MatrixFormatError(ValueError):
@@ -106,22 +112,21 @@ def load_comrade(path) -> ComradeMatrix:
                               for f, want in zip(_COMRADE_FIELDS, (n, n - 1, n - 1, n - 2))))
 
 
-def _layout(value: list, indent: str):
-    """The pieces of value, a list of ASCII rational strings or of such
-    lists, as ``json.dumps(indent=2)`` lays it out at the depth of
-    ``indent``: one piece per list of strings."""
+def _layout(value, indent: str):
+    """The pieces of value, a list of ASCII rational strings or an
+    iterator of such lists, as ``json.dumps(indent=2)`` lays it out at
+    the depth of ``indent``: one piece per list of strings, each taken
+    from the iterator only when the one before it is written."""
     inner = indent + "  "
-    if not value:
-        yield "[]"
-    elif isinstance(value[0], str):
-        yield f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{indent}]'
-    else:
-        separator = "[\n"
-        for v in value:
-            yield separator + inner
-            yield from _layout(v, inner)
-            separator = ",\n"
-        yield f"\n{indent}]"
+    if isinstance(value, list):
+        yield f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{indent}]' if value else "[]"
+        return
+    separator = "["
+    for v in value:
+        yield f"{separator}\n{inner}"
+        yield from _layout(v, inner)
+        separator = ","
+    yield "[]" if separator == "[" else f"\n{indent}]"
 
 
 def _write(path, n: int, fields) -> None:
@@ -177,6 +182,14 @@ class _Text(dict):
 
 
 def dump_dense(M: DenseMatrix, path) -> None:
-    """Write a dense matrix file; float entries become their exact rationals."""
+    """Write a dense matrix file, formatting one row at a time; float
+    entries become their exact rationals.  The floats are checked first,
+    so a nan or infinite entry in any row raises ValueError before the
+    file is opened."""
+    for i, row in enumerate(M.rows, 1):
+        if not _EXACT_TYPES.issuperset(map(type, row)):
+            for j, v in enumerate(row, 1):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"entry ({i}, {j}) is {v!r}, which has no rational value")
     text = _Text({1: ""})
-    _write(path, M.n, [("rows", [text(row) for row in M.rows])])
+    _write(path, M.n, [("rows", map(text, M.rows))])

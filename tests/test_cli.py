@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import random
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -466,6 +467,16 @@ class TestBench:
 
 
 class TestEntryPoint:
+    def test_main_module_in_process(self, capsys, monkeypatch):
+        # what `python -m comrade det sample5.json` runs, in this process,
+        # where line tracing sees it, and not only in a subprocess
+        monkeypatch.setattr(sys, "argv",
+                            ["comrade", "det", str(support.FIXTURE_DIR / "sample5.json")])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("comrade", run_name="__main__")
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == ("-1/45\n", "")
+
     def test_python_dash_m(self, comrade_file):
         path = comrade_file(support.ZERO_PIVOT4)
         proc = subprocess.run([sys.executable, "-m", "comrade", "det", str(path)],

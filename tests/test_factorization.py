@@ -443,9 +443,10 @@ class TestIntegerContinuants:
 
 def test_exact_factors_keep_one_last_row_term(monkeypatch):
     """The big-integer working set of the continuants is their D list:
-    the traced peak of ``continuants`` stays within 1.25 times the bytes
-    of the D it returns (an X list beside it doubles that), and no
-    factors that ``invert`` or ``determinant`` build derive their X."""
+    the traced peak of ``continuants`` stays within 1.10 times the bytes
+    of the D it returns, so it holds no X list and no sequence of the n
+    entries it reads beside D, and no factors that ``invert`` or
+    ``determinant`` build derive their X."""
     S = integer_scaled(band_comrade(600, 0))[1]
     tracemalloc.start()
     try:
@@ -453,7 +454,7 @@ def test_exact_factors_keep_one_last_row_term(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * sum(map(sys.getsizeof, D))
+    assert peak <= 1.10 * sum(map(sys.getsizeof, D))
     built, init = [], _ContinuantFactors.__init__
     monkeypatch.setattr(_ContinuantFactors, "__init__",
                         lambda self, *args: built.append(self) or init(self, *args))

@@ -683,3 +683,79 @@ def test_column_entries_have_the_working_type(n, mode, kind):
     assert {type(v) for col in columns for v in col} == {kind}
     if mode is ScalarMode.FLOAT:
         assert {type(v) for row in invert(C, mode).inverse.rows for v in row} == {float}
+
+
+#: Off-diagonal magnitudes p/q in [1/3, 1/2] and diagonal ones in [3/2, 2],
+#: q <= 9: the entries of perfbench's band family, whose column scales
+#: share a large factor h with D_n.
+BAND_SMALL = sorted({F(p, q) for q in range(2, 10) for p in range(1, q)
+                     if F(1, 3) <= F(p, q) <= F(1, 2)})
+BAND_DIAGONAL = sorted({F(p, q) for q in range(1, 10) for p in range(q, 2 * q + 1)
+                        if F(3, 2) <= F(p, q)})
+
+
+def small_denominator_band(n, seed):
+    rng = random.Random(f"small denominators:{n}:{seed}")
+    draw = lambda values, k: [rng.choice((-1, 1)) * rng.choice(values) for _ in range(k)]
+    return make_comrade(n, draw(BAND_DIAGONAL, n), *(draw(BAND_SMALL, k) for k in (n - 1, n - 1, n - 2)))
+
+
+def det_split_cases():
+    """(C, mode): bands with a large h, example33 and an integer matrix
+    (h small or 1), and in SYMBOLIC mode every zero pattern, pivot-only
+    draws and an integer draw with a zero alpha: entries at t = 0 read
+    off the packed adjugate, with h large and with h small."""
+    yield from ((small_denominator_band(n, seed), ScalarMode.EXACT)
+                for n in (8, 24, 64) for seed in range(3))
+    yield from ((C, ScalarMode.EXACT) for C in (example33(12), example33(40),
+                                                patterned_comrade(10, "integers", 0)))
+    yield from ((support.zero_patterned_comrade(8, pattern, seed), ScalarMode.SYMBOLIC)
+                for pattern in support.ZERO_PATTERNS for seed in range(3))
+    yield from ((C, ScalarMode.SYMBOLIC) for C in (pivot_only_draw(10, 0), pivot_only_draw(10, 1),
+                                                   random_comrade(12, 0, zero_pivot_bias=1.0)))
+
+
+def test_entries_are_reduced_against_the_det_numerator(monkeypatch):
+    """Where h = gcd(D_n, c_1 .. c_n) is a large share of D_n = N h, an
+    entry x = c_i adj_ij that h divides is built as (x / h) / N.  Every
+    Fraction ``column`` returns, in ``invert``'s EXACT and t = 0 columns,
+    must equal Fraction(x, D_n) computed from the integer column it was
+    given; the cases reach both sides of the size rule and, past it,
+    entries h divides and entries it does not, zero entries and a
+    negative D_n (D_n(0) at t = 0)."""
+    seen = set()
+    column = factorization._ContinuantFactors.column
+
+    def checked(F_, adj, at_zero=False):
+        out = column(F_, adj, at_zero)
+        if F_.mode is ScalarMode.SYMBOLIC and not at_zero:
+            return out                                  # RationalFunctions of M(t)
+        d, adj = F_.D[-1], list(adj)
+        if F_.width:
+            d, *adj = (scalars._low_digit(v, F_.width) for v in (d, *adj))
+        x = [c * v for c, v in zip(F_.scale, adj)]
+        assert out == [F(v, d) for v in x]
+        split = F_._det_split
+        if split is None:
+            seen.add(("small h", F_.mode))
+        else:
+            N, h = split
+            assert N * h == d and h > 1
+            seen.update(("h divides" if v % h == 0 else "h does not divide", F_.mode) for v in x)
+            seen.update({("zero entry", F_.mode)} if 0 in x else ())
+            seen.update({("negative D_n", F_.mode)} if d < 0 else ())
+        return out
+
+    monkeypatch.setattr(factorization._ContinuantFactors, "column", checked)
+    for C, mode in det_split_cases():
+        D = to_dense(C)
+        if C.n <= 24 and dense_det(D) == 0:
+            with pytest.raises(SingularMatrixError):
+                invert(C, mode)
+            continue
+        res = invert(C, mode)
+        if C.n <= 24:
+            assert res.inverse == dense_invert(D)
+    assert seen == {(kind, mode) for mode in (ScalarMode.EXACT, ScalarMode.SYMBOLIC)
+                    for kind in ("small h", "h divides", "h does not divide",
+                                 "zero entry", "negative D_n")}

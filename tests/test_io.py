@@ -131,6 +131,34 @@ class TestByteFormat:
             dump(M, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+    def test_dense_checks_the_last_row_before_writing(self, bad, tmp_path):
+        # the rows are formatted and written one at a time, so the floats
+        # of every row must be checked before the file is opened
+        rows = [(F(1, 3), BIG, 2), (0.5, -1, F(-7, 9)), (3, 0.25, bad)]
+        path = tmp_path / "d.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match=r"entry \(3, 3\)"):
+            dump_dense(DenseMatrix.from_rows(rows), path)
+        assert path.read_text() == "kept\n"
+
+    def test_dense_holds_a_few_rows_of_text(self, tmp_path):
+        # 48 rows of 48 entries of 205 characters: the traced peak of the
+        # writer is about four rows' text (the row's strings, their join
+        # and the file's buffer), not the 489 kB of the whole file
+        n = 48
+        M = DenseMatrix.from_rows([[F(10**200 + 7 * r + c, 3) for c in range(n)]
+                                   for r in range(n)])
+        path = tmp_path / "d.json"
+        tracemalloc.start()
+        try:
+            dump_dense(M, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * path.stat().st_size / n
+        assert path.read_text() == dense_reference(M)
+
     def test_consecutive_calls_share_no_denominator_strings(self, tmp_path):
         # the second matrix repeats one denominator of the first and adds
         # seven big new ones, 21 kB of strings: the call keeps none of

@@ -201,19 +201,26 @@ class _ContinuantFactors(LUFactors):
     def x(self):
         return tuple(map(self._quotient, self.X, self.D[1:]))
 
-    def pivot_product(self):
+    @property
+    def _det_numerator(self) -> int:
+        """D_n = det C c_1 .. c_n, in SYMBOLIC mode D_n(0): the lowest
+        balanced digit of the packed D_n."""
         d = self.D[-1]
-        if self.mode is ScalarMode.SYMBOLIC:
-            d = _low_digit(d, self.width)
-        return Fraction(d, _pairwise_product(self.scale))
+        return _low_digit(d, self.width) if self.mode is ScalarMode.SYMBOLIC else d
+
+    def pivot_product(self):
+        return Fraction(self._det_numerator, _pairwise_product(self.scale))
 
     @cached_property
     def _det_split(self):
-        """(N, h) with D_n = N h (D_n(0) in SYMBOLIC mode): N the numerator
-        of det C and h = gcd(D_n, c_1 .. c_n), or None where h has fewer
-        than a quarter of D_n's bits and reducing against N would not pay."""
-        det = self.pivot_product()
-        N, h = det.numerator, _pairwise_product(self.scale) // det.denominator
+        """(N, h) with D_n = N h (D_n(0) in SYMBOLIC mode), for
+        h = gcd(D_n, c_1 .. c_n) and N = D_n / h, the numerator of det C;
+        or None where h has fewer than a quarter of D_n's bits and
+        reducing against N would not pay.  One gcd and one exact division,
+        and no Fraction: on an integer matrix h = 1 and the split is unused."""
+        d = self._det_numerator
+        h = math.gcd(d, _pairwise_product(self.scale))
+        N = d // h
         return (N, h) if 3 * h.bit_length() >= N.bit_length() else None
 
     def column(self, adj, at_zero: bool = False) -> list:

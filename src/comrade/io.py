@@ -20,12 +20,14 @@ The written bytes are those of ``json.dumps(data, indent=2) + "\n"``:
 two-space indentation and one entry per line, the stable byte format.
 They are written without the JSON encoder, whose indenting form is pure
 Python: an ASCII rational string needs no escaping, so each list of
-entries is joined directly and written on its own.  ``dump_dense``
-formats each row only when the row before it is written, so it holds
-one row's text at a time; it checks the float entries for a nan or an
-infinity before it opens the file.  Both writers read p/q off each entry
-with ``as_integer_ratio`` through one formatter, which converts each
-distinct denominator to a string once per call.
+entries is joined directly (``_strings``).  A comrade file's text is
+O(n), and ``dump_comrade`` writes it at once.  ``dump_dense`` writes the
+rows one at a time, formatting each only when the row before it is
+written, so it holds one row's text, not the O(n^2) of the file; it
+checks the float entries for a nan or an infinity before it opens the
+file.  Both writers read p/q off each entry with ``as_integer_ratio``
+through one formatter, which converts each distinct denominator to a
+string once per call.
 """
 
 from __future__ import annotations
@@ -112,39 +114,18 @@ def load_comrade(path) -> ComradeMatrix:
                               for f, want in zip(_COMRADE_FIELDS, (n, n - 1, n - 1, n - 2))))
 
 
-def _layout(value, indent: str):
-    """The pieces of value, a list of ASCII rational strings or an
-    iterator of such lists, as ``json.dumps(indent=2)`` lays it out at
-    the depth of ``indent``: one piece per list of strings, each taken
-    from the iterator only when the one before it is written."""
-    inner = indent + "  "
-    if isinstance(value, list):
-        yield f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{indent}]' if value else "[]"
-        return
-    separator = "["
-    for v in value:
-        yield f"{separator}\n{inner}"
-        yield from _layout(v, inner)
-        separator = ","
-    yield "[]" if separator == "[" else f"\n{indent}]"
-
-
-def _write(path, n: int, fields) -> None:
-    """Write {"n": n, name: value, ..} for the (name, value) pairs of
-    ``fields`` in the byte format of the module docstring, a list of
-    strings at a time, so the text of the file is never held whole."""
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write(f'{{\n  "n": {n}')
-        for name, value in fields:
-            out.write(f',\n  "{name}": ')
-            out.writelines(_layout(value, "  "))
-        out.write("\n}\n")
+def _strings(values: list, indent: str) -> str:
+    """The list of ASCII rational strings ``values``, never empty, as
+    ``json.dumps(indent=2)`` lays it out at the depth of ``indent``: one
+    entry a line, joined directly, since no entry needs escaping."""
+    return f'[\n{indent}  "' + f'",\n{indent}  "'.join(values) + f'"\n{indent}]'
 
 
 def dump_comrade(C: ComradeMatrix, path) -> None:
     """Write a comrade-form matrix file; float entries become their exact rationals."""
     text = _Text({1: ""})
-    _write(path, C.n, [(field, text(getattr(C, field))) for field in _COMRADE_FIELDS])
+    fields = "".join(f',\n  "{f}": {_strings(text(getattr(C, f)), "  ")}' for f in _COMRADE_FIELDS)
+    Path(path).write_text(f'{{\n  "n": {C.n}{fields}\n}}\n', encoding="utf-8")
 
 
 def load_dense(path) -> DenseMatrix:
@@ -192,4 +173,8 @@ def dump_dense(M: DenseMatrix, path) -> None:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"entry ({i}, {j}) is {v!r}, which has no rational value")
     text = _Text({1: ""})
-    _write(path, M.n, [("rows", map(text, M.rows))])
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(f'{{\n  "n": {M.n},\n  "rows": [')
+        for i, row in enumerate(M.rows):
+            out.write(f'{"," if i else ""}\n    {_strings(text(row), "    ")}')
+        out.write("\n  ]\n}\n" if M.rows else "]\n}\n")

@@ -7,6 +7,7 @@ recomputing them so a regression in the fast path cannot hide behind a
 matching regression in the expectation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -163,3 +164,42 @@ def zero_patterned_comrade(n, pattern, seed):
         else:
             mu = None
     return make_comrade(n, beta, alpha, gamma, a)
+
+
+#: Monic orthogonal bases x p_k = p_{k+1} + b_k p_k + c_k p_{k-1}, as
+#: (b_k, c_k) for k >= 0 (c_0 multiplies p_{-1} = 0 and is never read)
+ORTHOGONAL_BASES = {
+    "legendre": lambda k: (F(0), F(k * k, 4 * k * k - 1)),
+    "chebyshev": lambda k: (F(0), F(1, 2) if k == 1 else F(1, 4)),
+    "laguerre": lambda k: (F(2 * k + 1), F(k * k)),
+}
+
+
+def orthogonal_comrade(roots, basis, shift=0):
+    """The comrade matrix of Barnett (1975) of prod (x - r_i) over the
+    monic basis ``basis`` of ORTHOGONAL_BASES, less shift I: the Jacobi
+    matrix of the basis, beta_k = b_{k-1} - shift, alpha_k = 1 and
+    gamma_{k+1} = c_k, with the coefficients q_k of
+    prod (x - r_i) - p_n = sum_{k<n} q_k p_k taken off its last row.
+    Its eigenvalues are the r_i - shift."""
+    n = len(roots)
+    b, c = zip(*map(ORTHOGONAL_BASES[basis], range(n)))
+    # p_0 .. p_n as monomial coefficients, lowest first
+    p = [[F(1)], [-b[0], F(1)]]
+    for k in range(1, n):
+        xp = [F(0), *p[k]]
+        p.append([u - b[k] * v - c[k] * w
+                  for u, v, w in itertools.zip_longest(xp, p[k], p[k - 1], fillvalue=F(0))])
+    rest = [F(1)]
+    for r in roots:                                   # times (x - r)
+        rest = [u - r * v for u, v in itertools.zip_longest([F(0), *rest], rest, fillvalue=F(0))]
+    rest = [u - v for u, v in zip(rest, p[n])]
+    q = [F(0)] * n
+    for k in range(n - 1, -1, -1):                    # p_k is monic of degree k
+        q[k] = rest[k]
+        rest = [u - q[k] * v for u, v in itertools.zip_longest(rest, p[k], fillvalue=F(0))]
+    beta = [v - shift for v in b]
+    beta[-1] -= q[n - 1]
+    gamma = list(c[1:])
+    gamma[-1] -= q[n - 2]
+    return make_comrade(n, beta, [F(1)] * (n - 1), gamma, [-q[n - m] for m in range(3, n + 1)])

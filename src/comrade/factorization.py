@@ -73,7 +73,8 @@ entry beyond the binary64 range raises ``NonFiniteResultError``.
 The operation counts, 6n - 9 for the factorization and 7n - 10 for the
 determinant, are the paper's model contract for its recurrences on
 field elements.  Every mode tallies them, whatever its loop actually
-runs on.
+runs on, and every phase through ``_tally``, which adds to a counter
+only where the caller passed one.
 """
 
 from __future__ import annotations
@@ -129,9 +130,9 @@ class OpCounter:
 class LUFactors:
     """Recurrence output: the matrix the recurrences ran on, pivots mu
     (n values), last-row multipliers x (n-1 values), the substitution
-    log, and the mode the run used.  Built as they are, by FLOAT
-    ``factorize`` only, the factors have mode FLOAT and an empty log;
-    ``_ContinuantFactors`` sets its own.
+    log, and the mode the run used.  Built as they are, by
+    ``_float_factors`` only, the factors have mode FLOAT and an empty
+    log; ``_ContinuantFactors`` sets its own.
 
     Together with the alpha and gamma of ``perturbed(F)`` these determine
     L and U; L*U is ``perturbed(F)``, the input with t at each logged
@@ -368,41 +369,52 @@ def _binary64(C: ComradeMatrix) -> ComradeMatrix:
         raise
 
 
-def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) -> LUFactors:
-    """Run the pivot and last-row recurrences in the given mode.
-
-    Cost: 6n - 9 field operations when no substitution fires.  That is
-    the paper's count, tallied in every mode; EXACT and SYMBOLIC run the
-    recurrences as integer continuants (see the module docstring).  The
-    entries of C are rationals.  SYMBOLIC factors are those of M(t), with
-    t at each zero pivot and each zero alpha_j, j <= n - 2, and log both
-    kinds of substitution, pivots first.
-    """
-    n = C.n
-    if ops is None:
-        ops = OpCounter()
-    if mode is not ScalarMode.FLOAT:
-        F, zeros = continuant_factors(C, mode)
-        if mode is ScalarMode.EXACT and zeros and zeros[0] < n:  # mu_i = 0, i < n
-            ops.tally(max(6 * zeros[0] - 11, 0))    # the recurrences before mu_i
-            raise ZeroPivotError(zeros[0])
-        ops.tally(6 * n - 9)
-        return F
-    M = _binary64(C)
+def _float_factors(C: ComradeMatrix):
+    """(F, zeros) as ``continuant_factors`` gives them, for FLOAT: the
+    factors of C in binary64 and zeros = [], or F = None and zeros = [i]
+    at the first zero pivot mu_i, i < n, where the loop stops."""
+    M, n = _binary64(C), C.n
     beta, alpha, gamma, e = M.beta, M.alpha, M.gamma, tuple(_last_row(M))
     mu, x = [beta[0]], []
     for i0 in range(n - 1):
-        if mu[i0] == 0:                                  # mu_i = 0 for some i < n
-            ops.tally(max(6 * i0 - 5, 0))                # the recurrences before mu_i
-            raise ZeroPivotError(i0 + 1)
+        if mu[i0] == 0:
+            return None, [i0 + 1]
         # x_i = (e_i - alpha_{i-1} x_{i-1}) / mu_i, then mu_{i+1} =
         # beta_{i+1} - (alpha_i / mu_i) gamma_{i+1}, or for i = n - 1
         # mu_n = beta_n - alpha_{n-1} x_{n-1}
         x.append((e[i0] - alpha[i0 - 1] * x[-1] if i0 else e[0]) / mu[i0])
         mu.append(beta[i0 + 1] - (alpha[i0] / mu[i0]) * gamma[i0] if i0 < n - 2
                   else beta[-1] - alpha[-1] * x[-1])
-    ops.tally(6 * n - 9)
-    return LUFactors(M, tuple(mu), tuple(x))
+    return LUFactors(M, tuple(mu), tuple(x)), []
+
+
+def _tally(ops: OpCounter | None, n: int):
+    """Add n to the counter ops, if the caller passed one."""
+    if ops is not None:
+        ops.tally(n)
+
+
+def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) -> LUFactors:
+    """Run the pivot and last-row recurrences in the given mode: as
+    integer continuants in EXACT and SYMBOLIC mode (``continuant_factors``,
+    see the module docstring), in binary64 in FLOAT mode
+    (``_float_factors``).
+
+    Cost: 6n - 9 field operations when no substitution fires.  That is
+    the paper's count, tallied in every mode.  EXACT and FLOAT refuse a
+    zero pivot mu_i, i < n, with ZeroPivotError, after tallying the
+    6i - 11 operations of the recurrences before it.  The entries of C
+    are rationals.  SYMBOLIC factors are those of M(t), with t at each
+    zero pivot and each zero alpha_j, j <= n - 2, and log both kinds of
+    substitution, pivots first.
+    """
+    n = C.n
+    F, zeros = _float_factors(C) if mode is ScalarMode.FLOAT else continuant_factors(C, mode)
+    if mode is not ScalarMode.SYMBOLIC and zeros and zeros[0] < n:  # mu_i = 0, i < n
+        _tally(ops, max(6 * zeros[0] - 11, 0))      # the recurrences before mu_i
+        raise ZeroPivotError(zeros[0])
+    _tally(ops, 6 * n - 9)
+    return F
 
 
 def pivot_product(F: LUFactors, ops: OpCounter):
@@ -412,7 +424,7 @@ def pivot_product(F: LUFactors, ops: OpCounter):
     mode that is the product at t = 0, exactly the determinant of the
     unperturbed matrix, so singular inputs give exactly 0.
     """
-    ops.tally(F.n - 1)
+    _tally(ops, F.n - 1)
     return F.pivot_product()
 
 
@@ -425,10 +437,8 @@ def determinant(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None
     zero pivot: they never divide, so no pivot needs t.  Raises
     NonFiniteResultError in FLOAT mode when the product is inf or nan.
     """
-    if ops is None:
-        ops = OpCounter()
     if mode is ScalarMode.SYMBOLIC:
-        ops.tally(7 * C.n - 10)
+        _tally(ops, 7 * C.n - 10)
         return continuant_factors(C, ScalarMode.EXACT)[0].pivot_product()
     det = pivot_product(factorize(C, mode, ops), ops)
     if mode is ScalarMode.FLOAT and not math.isfinite(det):

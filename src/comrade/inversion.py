@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 
 from .factorization import (LUFactors, NonFiniteResultError, OpCounter,
-                            ZeroPivotError, factorize, perturbed,
+                            ZeroPivotError, _tally, factorize, perturbed,
                             pivot_product)
 from .matrix import ComradeMatrix, DenseMatrix, SingularMatrixError
 from .scalars import ScalarMode
@@ -143,15 +143,13 @@ def last_two_columns(F: LUFactors, ops: OpCounter | None = None):
     along the superdiagonal of the binary64 C that F holds.  EXACT and
     FLOAT factors of a singular matrix raise SingularMatrixError.
     """
-    if ops is None:
-        ops = OpCounter()
     n = F.n
     if F.mode is ScalarMode.FLOAT:
         alpha = F.matrix.alpha
         columns = _solve_column(F, alpha, None, n - 1), _solve_column(F, alpha, None, n - 2)
     else:
         columns = tuple(map(F.column, _adjugate_last_two(F)))
-    ops.tally(4 * n - 1)
+    _tally(ops, 4 * n - 1)
     return columns
 
 
@@ -183,8 +181,6 @@ def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: b
     are read off the packed integers and no RationalFunction is built."""
     if F.mode is ScalarMode.FLOAT:
         return lu_columns(F, ops)[::-1]
-    if ops is None:
-        ops = OpCounter()
     C, unit, n = F.matrix, F.D[-1], F.n
     _refuse_zero_alpha(C)           # EXACT: a scaled alpha is 0 when alpha is
     cols = []
@@ -197,7 +193,7 @@ def remaining_columns(F: LUFactors, ops: OpCounter | None = None, *, finalize: b
         f = -C.a[n - j - 3] if j < n - 2 else 0
         col = [(b * u + g * v + f * z) // al for u, v, z in zip(prev1, prev2, col_n)]
         col[j] = (unit + b * prev1[j] + g * prev2[j] + f * col_n[j]) // al
-        ops.tally(7 * n if j < n - 2 else 5 * n)
+        _tally(ops, 7 * n if j < n - 2 else 5 * n)
         cols.append(F.column(col, at_zero=finalize))
         prev2, prev1 = prev1, col
     return cols
@@ -209,16 +205,14 @@ def lu_columns(F: LUFactors, ops: OpCounter | None = None):
     the last two columns are.  It reads alpha and gamma off
     ``perturbed(F)``: the binary64 C of FLOAT factors, M(t) read off C'
     and the column scales of EXACT and SYMBOLIC ones."""
-    if ops is None:
-        ops = OpCounter()
     n = F.n
     M = perturbed(F)
     ell = [None] + [M.gamma[k0 - 1] / F.mu[k0 - 1] for k0 in range(1, n - 1)]
-    ops.tally(n - 2)
+    _tally(ops, n - 2)
     cols = []
     for j0 in range(n - 2):
         cols.append(_solve_column(F, M.alpha, ell, j0))
-        ops.tally(6 * n - 8 - 4 * j0)
+        _tally(ops, 6 * n - 8 - 4 * j0)
     return cols
 
 

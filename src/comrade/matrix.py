@@ -9,12 +9,15 @@ A comrade matrix is tridiagonal except for a dense last row:
     [ a_n     a_{n-1}  ...      a_3      gamma_n beta_n]
 
 The compact form stores the four entry families as O(n) tuples; dense
-position (n, j), 1-based, holds a_{n-j+1} for j = 1..n-2.  Where each
-entry sits is written once per direction: ``_row_entries`` lists each
-row's entries with their columns, for ``to_dense``, both structured
-products and the packing bound of ``factorization.continuant_factors``,
-and ``_column_map`` hands each entry family, with the scales of its
-entries' columns, to one call of a function that builds the whole family.
+position (n, j), 1-based, holds a_{n-j+1} for j = 1..n-2.
+``_row_entries`` lists each row's entries with their columns, for
+``to_dense``, both structured products and the packing bound of
+``factorization.continuant_factors``, and ``_column_map`` hands each
+entry family, with the scales of its entries' columns, to one call of a
+function that builds the whole family.  Two places still say where
+entries sit by themselves: ``factorization.integer_scaled`` lines the
+four families up by column to take each column's lcm, and
+``inversion.remaining_columns`` reads the four entries of column j+1.
 """
 
 from __future__ import annotations

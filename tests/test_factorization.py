@@ -336,6 +336,49 @@ class TestOpCounts:
         assert a.count == b.count == 7 * 5 - 10
 
 
+def first_zero_pivot(n, i):
+    """C with mu_1 .. mu_{i-1} = 1 and mu_i = 0, exact in binary64:
+    beta = alpha = 1 (beta_1 = 0 when i = 1), gamma_k = 0 except
+    gamma_i = 1, and a zero last row."""
+    beta = [0 if i == 1 else 1] + [1] * (n - 1)
+    gamma = [int(k == i) for k in range(2, n + 1)]
+    return make_comrade(n, beta, [1] * (n - 1), gamma, [0] * (n - 2))
+
+
+ZERO_PIVOT_CASES = [pytest.param(n, i, id=f"{n}-{i}") for n in (3, 5, 8) for i in range(1, n)]
+
+
+class TestZeroPivotRefusal:
+    """One rule in every mode: EXACT and FLOAT refuse the first zero pivot
+    mu_i, i < n, after tallying the 6i - 11 operations before it, and
+    SYMBOLIC puts t there and tallies the whole 6n - 9."""
+
+    @pytest.mark.parametrize("n, i", ZERO_PIVOT_CASES)
+    @pytest.mark.parametrize("mode", [ScalarMode.EXACT, ScalarMode.FLOAT], ids=lambda m: m.value)
+    @pytest.mark.parametrize("compute", [factorize, determinant], ids=lambda f: f.__name__)
+    def test_refused_with_the_partial_tally(self, compute, mode, n, i):
+        ops = OpCounter()
+        with pytest.raises(ZeroPivotError) as info:
+            compute(first_zero_pivot(n, i), mode, ops)
+        assert (info.value.index, info.value.what) == (i, "pivot")
+        assert ops.count == max(6 * i - 11, 0)
+
+    @pytest.mark.parametrize("n, i", ZERO_PIVOT_CASES)
+    def test_symbolic_logs_the_pivot_and_tallies_in_full(self, n, i):
+        ops = OpCounter()
+        Ft = factorize(first_zero_pivot(n, i), ScalarMode.SYMBOLIC, ops)
+        assert Ft.substitutions == (Substitution("pivot", i),)
+        assert ops.count == 6 * n - 9
+
+    @pytest.mark.parametrize("C, mode", [
+        *((example33(6), mode) for mode in ScalarMode),
+        *((first_zero_pivot(n, i), ScalarMode.SYMBOLIC) for n, i in [(3, 1), (5, 3), (8, 7)]),
+    ])
+    def test_the_counter_does_not_change_the_factors(self, C, mode):
+        runs = [factorize(C, mode), factorize(C, mode, None), factorize(C, mode, OpCounter())]
+        assert len({(Ft.mu, Ft.x, Ft.substitutions) for Ft in runs}) == 1
+
+
 def fraction_recurrences(C):
     """(mu, x) of the EXACT pivot and last-row recurrences run directly
     on Fractions; raises ZeroPivotError at a zero pivot before mu_n."""

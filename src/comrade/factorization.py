@@ -417,7 +417,7 @@ def factorize(C: ComradeMatrix, mode: ScalarMode, ops: OpCounter | None = None) 
     return F
 
 
-def pivot_product(F: LUFactors, ops: OpCounter):
+def pivot_product(F: LUFactors, ops: OpCounter | None):
     """The determinant mu_1 * ... * mu_n, n - 1 field operations.
 
     EXACT and SYMBOLIC factors give D_n(0) / (c_1 .. c_n): in SYMBOLIC

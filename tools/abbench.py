@@ -1,6 +1,6 @@
 """Paired in-process A/B timing of two trees of the comrade package.
 
-    python3 tools/abbench.py BASE HEAD [--label L] [--rounds R] [--kernel NAME ...]
+    python3 tools/abbench.py BASE HEAD [--label L]
 
 Each side is a git revision of this checkout, extracted with
 ``git archive REV src/comrade`` into a temporary directory, so nothing
@@ -12,10 +12,11 @@ runs on inputs built once from perfbench's generators and shared by
 both sides, each side calling its own functions with its own
 ``ScalarMode``.
 
-Calls alternate between the two trees, and the order flips every round.
-A side's time in a round is the min of ``REPEATS`` calls of the kernel,
-and the round's ratio is head/base.  For each kernel the script prints the
-median ratio, its quartiles and the number of rounds the head won.
+Calls alternate between the two trees, and the order flips every one of
+``ROUNDS`` rounds.  A side's time in a round is the min of ``REPEATS``
+calls of the kernel, and the round's ratio is head/base.  For each
+kernel the script prints the median ratio, its quartiles and the number
+of rounds the head won.
 With ``--label L`` it also writes ``BENCH_L.json`` to the current
 directory: each side's per-round minimums, the ratios and their
 summary, both revisions, the Python version and the machine.  Both
@@ -50,6 +51,7 @@ import comrade  # noqa: E402
 import workloads  # noqa: E402
 from checks import cofactor_det  # noqa: E402
 
+ROUNDS = 15
 REPEATS = 3
 
 
@@ -194,27 +196,23 @@ def main(argv=None) -> int:
     parser.add_argument("base", help="revision, or directory holding comrade/")
     parser.add_argument("head", help="revision, or directory holding comrade/")
     parser.add_argument("--label", help="also write BENCH_LABEL.json")
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--kernel", action="append", choices=[k.name for k in KERNELS],
-                        help="run only this kernel (repeatable; default: all)")
     args = parser.parse_args(argv)
-    kernels = [k for k in KERNELS if args.kernel is None or k.name in args.kernel]
     with tempfile.TemporaryDirectory(prefix="abbench-") as scratch:
         scratch = Path(scratch)
         sides = (load_side("base", args.base, scratch), load_side("head", args.head, scratch))
-        summary = compare(sides, kernels, args.rounds, scratch)
-    print(f"{args.base} -> {args.head}: {args.rounds} rounds, min of {REPEATS}")
+        summary = compare(sides, KERNELS, ROUNDS, scratch)
+    print(f"{args.base} -> {args.head}: {ROUNDS} rounds, min of {REPEATS}")
     print(f"{'kernel':<28} {'base ms':>9} {'head ms':>9} {'head/base':>9} "
           f"{'q1':>6} {'q3':>6}  wins")
     for name, s in summary.items():
         print(f"{name:<28} {1e3 * statistics.median(s['base_s']):>9.3f} "
               f"{1e3 * statistics.median(s['head_s']):>9.3f} {s['median']:>9.3f} "
-              f"{s['q1']:>6.3f} {s['q3']:>6.3f}  {s['head_wins']}/{args.rounds}")
+              f"{s['q1']:>6.3f} {s['q3']:>6.3f}  {s['head_wins']}/{ROUNDS}")
     if args.label:
         record = {
             "label": args.label,
             **{side.name: {"spec": side.spec, "revision": side.revision} for side in sides},
-            "rounds": args.rounds, "repeats": REPEATS,
+            "rounds": ROUNDS, "repeats": REPEATS,
             "python": platform.python_version(),
             "machine": {"platform": platform.platform(), "machine": platform.machine(),
                         "cpus": os.cpu_count()},

@@ -31,26 +31,17 @@ from .matrix import (DenseMatrix, SingularMatrixError, comrade_times_dense,
 from .oracle import dense_invert
 from .scalars import PoleAtZeroError, ScalarMode, format_rational
 
-EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_PARSE = 2
-EXIT_SINGULAR = 3
-EXIT_ZERO_PIVOT = 4
-EXIT_POLE = 5
-EXIT_NON_FINITE = 6
-
 
 class _BadArgument(Exception):
     """A --n or --sizes value that names no comrade matrix order."""
 
 
-#: the errors ``main`` reports as ``error: ...``, with their exit codes; an
-#: OSError is an output file that cannot be written (an unreadable input
-#: is a MatrixFormatError), a _BadArgument a bad --n or --sizes
-_EXIT_CODES = {MatrixFormatError: EXIT_PARSE, SingularMatrixError: EXIT_SINGULAR,
-               ZeroPivotError: EXIT_ZERO_PIVOT, PoleAtZeroError: EXIT_POLE,
-               NonFiniteResultError: EXIT_NON_FINITE, OSError: EXIT_UNEXPECTED,
-               _BadArgument: EXIT_UNEXPECTED}
+#: the errors ``main`` reports as ``error: ...``, with their exit codes,
+#: which the module docstring explains; an OSError is an output file that
+#: cannot be written (an unreadable input is a MatrixFormatError), a
+#: _BadArgument a bad --n or --sizes
+_EXIT_CODES = {MatrixFormatError: 2, SingularMatrixError: 3, ZeroPivotError: 4,
+               PoleAtZeroError: 5, NonFiniteResultError: 6, OSError: 1, _BadArgument: 1}
 
 #: n above which the exact oracle is skipped in `bench` (residual instead).
 ORACLE_LIMIT = 200
@@ -195,7 +186,7 @@ def main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

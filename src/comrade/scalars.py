@@ -219,8 +219,6 @@ class Polynomial:
 
     def _times(self, other):
         a, b = self._ints, other._ints
-        if not a or not b:
-            return _ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci:
@@ -299,11 +297,10 @@ class Polynomial:
 
 
 def _reduced(ints: list, den: int) -> Polynomial:
-    """The canonical polynomial ints / den, for any nonzero den."""
+    """The canonical polynomial ints / den, for any nonzero den.  An
+    all-zero ints comes out as () over 1, since gcd(den) is |den|."""
     while ints and not ints[-1]:
         ints.pop()
-    if not ints:
-        return _ZERO
     if den < 0:
         ints, den = [-c for c in ints], -den
     if den != 1:
@@ -406,26 +403,25 @@ def _euclidean_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd of p and q; gcd(0, 0) is undefined.
 
-    A zero operand gives the other one, made monic, and a constant
-    operand gives 1.  Otherwise the gcd is the heuristic GCDHEU (Char,
-    Geddes and Gonnet 1989) on integers.  Both operands are scaled to
-    primitive integer polynomials A and B and evaluated at xi = 2^w, the
-    least power of two with xi >= 4 min(|A|_inf, |B|_inf) + 4.  If
-    gcd(A(xi), B(xi)) is at most xi - 1 - min(|A|_inf, |B|_inf), no
-    common factor of degree >= 1 fits in it and the gcd is 1.  Otherwise
-    its balanced base-xi digits, divided by their content, are the
-    candidate G.  If G divides A and B in Z[t] it is their gcd: any
-    xi >= 2 min(|A|_inf, |B|_inf) + 2 makes the check sufficient, and
-    twice that rejects fewer first candidates.  If not, the try is
-    repeated at w + w // 4 + 2, up to 6 tries in all, and then the
-    Euclidean algorithm over Q decides.
+    A zero operand gives the other one, made monic.  Otherwise the gcd
+    is the heuristic GCDHEU (Char, Geddes and Gonnet 1989) on integers.
+    Both operands are scaled to primitive integer polynomials A and B
+    and evaluated at xi = 2^w, the least power of two with
+    xi >= 4 min(|A|_inf, |B|_inf) + 4.  If gcd(A(xi), B(xi)) is at most
+    xi - 1 - min(|A|_inf, |B|_inf), no common factor of degree >= 1 fits
+    in it and the gcd is 1.  Otherwise its balanced base-xi digits,
+    divided by their content, are the candidate G.  If G divides A and B
+    in Z[t] it is their gcd: any xi >= 2 min(|A|_inf, |B|_inf) + 2 makes
+    the check sufficient, and twice that rejects fewer first candidates.
+    If not, the try is repeated at w + w // 4 + 2, up to 6 tries in all,
+    and then the Euclidean algorithm over Q decides.  A constant operand
+    is +-1 once primitive, so xi = 8, gcd(A(xi), B(xi)) = 1 <= 6 and the
+    first bound check gives 1.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("poly_gcd(0, 0) is undefined")
     if p.is_zero or q.is_zero:
         return (q if p.is_zero else p).monic()
-    if p.degree == 0 or q.degree == 0:
-        return _ONE
     g = _heuristic_gcd(_primitive(p), _primitive(q))
     if g is None:
         return _euclidean_gcd(p, q)
